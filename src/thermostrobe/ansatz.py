@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .liouville import require_density
 from .matcore import (
-    dexp_neg,
+    exp_neg_kernel,
     frobenius,
     herm_eig,
     hermitize,
@@ -43,6 +44,7 @@ PSD_FLOOR = -1e-10
 ZERO_BRANCH_TOL = 1e-12
 IMAG_TOL = 1e-10
 JACOBIAN_RCOND = 1e-12
+COMMUTE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +93,33 @@ class RelevantSet:
     def size(self) -> int:
         return len(self.observables)
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The observables as one (M, d, d) array."""
+        return np.array(self.observables)
+
+    @cached_property
+    def spectral_basis(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Common eigenbasis U and eigenvalue table w[m, i] = (U^dag P_m U)_ii
+        when the observables commute, else None.
+
+        U diagonalizes a combination of the observables with incommensurate
+        weights, so it diagonalizes each of them when they commute; the
+        off-diagonal part of every U^dag P_m U is checked against COMMUTE_TOL
+        (relative to the observable's scale).  A second set of weights is
+        tried in case the first makes two distinct joint levels nearly
+        coincide, which leaves their eigenvectors mixed.
+        """
+        ranks = np.arange(2.0, self.size + 2.0)
+        for weights in (np.sqrt(ranks), np.sqrt(ranks[::-1])):
+            C = sum(c * P / scale_of(P) for c, P in zip(weights, self.observables))
+            U = np.linalg.eigh(hermitize(C))[1]
+            rotated = U.conj().T @ self.stack @ U
+            if all(np.max(np.abs(R - np.diag(np.diag(R)))) <= COMMUTE_TOL * scale_of(P)
+                   for R, P in zip(rotated, self.observables)):
+                return U, np.einsum("mii->mi", rotated).real
+        return None
+
 
 def _as_relevant(observables) -> RelevantSet:
     if isinstance(observables, RelevantSet):
@@ -109,67 +138,113 @@ def _as_params(E, size: int) -> np.ndarray:
 # Generalized Gibbs states
 
 
-def _gibbs_eig(relevant: RelevantSet, beta: np.ndarray):
-    """Eigen-factorization of K = (beta, P) with the spectrum shifted to start at 0."""
-    K = np.zeros((relevant.dim, relevant.dim), dtype=complex)
-    for b, P in zip(beta, relevant.observables):
-        K = K + b * P
-    w, U = np.linalg.eigh(hermitize(K))
-    shifted = w - w.min()
-    weights = np.exp(-shifted)
-    Z = float(weights.sum())
-    return shifted, U, weights, Z
+def _rotate(U: np.ndarray, X: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Operator stack X (n, d, d) in the basis U: U^dag X_m U, or only the real
+    diagonals (n, d), which is all that pairs with operators diagonal in U."""
+    if diagonal:
+        return np.einsum("ai,mab,bi->mi", U.conj(), X, U).real
+    return U.conj().T @ X @ U
+
+
+class _GibbsPoint:
+    """Every Gibbs quantity at one exponent vector beta, from one
+    factorization K = (beta, P) = U diag(k) U^dag.
+
+    When the relevant observables commute, U is their cached common
+    eigenbasis and k = beta w, so nothing is diagonalized; otherwise K is
+    diagonalized once here.  Operators enter rotated into U (see _rotate):
+    as diagonals in the commuting case, as full matrices otherwise.  The
+    spectrum k is shifted to start at 0, with Z and the populations q taken
+    from the shifted weights.
+    """
+
+    def __init__(self, relevant: RelevantSet, beta: np.ndarray):
+        basis = relevant.spectral_basis
+        self.diagonal = basis is not None
+        if self.diagonal:
+            self.U, self.P = basis
+            k = beta @ self.P
+        else:
+            k, self.U = np.linalg.eigh(hermitize(np.tensordot(beta, relevant.stack, axes=1)))
+            self.P = _rotate(self.U, relevant.stack, diagonal=False)
+        self.k = k - k.min()
+        weights = np.exp(-self.k)
+        self.Z = float(weights.sum())
+        self.q = weights / self.Z
+        self.E = self.expect(self.P)
+
+    def expect(self, X: np.ndarray) -> np.ndarray:
+        """Tr(X_m rho) for operators given in this point's basis."""
+        if self.diagonal:
+            return X @ self.q
+        return np.einsum("mii,i->m", X, self.q).real
+
+    def expect_derivative(self, X: np.ndarray) -> np.ndarray:
+        """G_mn = Tr(X_m d rho / d beta_n) for operators given in this point's basis."""
+        if self.diagonal:
+            return -(X * self.q) @ (self.P - self.E[:, None]).T
+        G = np.einsum("mji,ij,nij->mn", X, exp_neg_kernel(self.k), self.P).real / self.Z
+        return G + np.outer(self.expect(X), self.E)
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """Response matrix J_mn = d E_m / d beta_n, symmetrized."""
+        J = self.expect_derivative(self.P)
+        return 0.5 * (J + J.T)
+
+    def response_inverse(self) -> np.ndarray:
+        J = self.jacobian
+        svals = np.linalg.svd(J, compute_uv=False)
+        if svals[0] == 0.0 or svals[-1] <= JACOBIAN_RCOND * svals[0]:
+            raise DegenerateAnsatzError(
+                f"Gibbs response matrix is numerically singular (singular values {svals})"
+            )
+        return np.linalg.inv(J)
+
+    def state(self) -> np.ndarray:
+        return hermitize((self.U * self.q) @ self.U.conj().T)
+
+    def param_derivative(self) -> np.ndarray:
+        """Stack of d rho / d beta_n from the Daleckii-Krein kernel of exp(-K);
+        it is -U diag(q (w_n - E_n)) U^dag when the observables commute."""
+        P = np.einsum("mi,ij->mij", self.P, np.eye(len(self.q))) if self.diagonal else self.P
+        inner = exp_neg_kernel(self.k) * P / self.Z + self.E[:, None, None] * np.diag(self.q)
+        Ud = self.U.conj().T
+        return np.array([hermitize(self.U @ D @ Ud) for D in inner])
+
+    def derivative(self) -> np.ndarray:
+        """Stack of d rho / d E_j, by the chain rule through beta(E)."""
+        return np.einsum("nab,nj->jab", self.param_derivative(), self.response_inverse())
+
+
+def _gibbs_point(observables, beta) -> _GibbsPoint:
+    relevant = _as_relevant(observables)
+    return _GibbsPoint(relevant, _as_params(beta, relevant.size))
 
 
 def gibbs_state(observables, beta) -> np.ndarray:
     """exp(-(beta, P)) / Z, computed with the exponent shifted by its minimum eigenvalue."""
-    relevant = _as_relevant(observables)
-    beta = _as_params(beta, relevant.size)
-    w, U, weights, Z = _gibbs_eig(relevant, beta)
-    return hermitize((U * (weights / Z)) @ U.conj().T)
+    return _gibbs_point(observables, beta).state()
 
 
 def gibbs_expectations(observables, beta) -> np.ndarray:
     """Expectations Tr(P_m rho_Gibbs(beta)) of the relevant observables."""
-    relevant = _as_relevant(observables)
-    rho = gibbs_state(relevant, beta)
-    out = np.empty(relevant.size)
-    for m, P in enumerate(relevant.observables):
-        val = frobenius(P, rho)
-        if abs(val.imag) > IMAG_TOL * scale_of(P):
-            raise ValidationError(f"expectation {m} has imaginary part {val.imag:.3e}")
-        out[m] = val.real
-    return out
+    return _gibbs_point(observables, beta).E
 
 
 def gibbs_param_derivative(observables, beta) -> np.ndarray:
     """Stack of derivatives d rho_Gibbs / d beta_n (each traceless)."""
-    relevant = _as_relevant(observables)
-    beta = _as_params(beta, relevant.size)
-    w, U, weights, Z = _gibbs_eig(relevant, beta)
-    K = hermitize((U * w) @ U.conj().T)
-    rho = hermitize((U * (weights / Z)) @ U.conj().T)
-    E = np.array([frobenius(P, rho).real for P in relevant.observables])
-    out = np.empty((relevant.size, relevant.dim, relevant.dim), dtype=complex)
-    for n, P in enumerate(relevant.observables):
-        out[n] = dexp_neg(K, P) / Z + rho * E[n]
-    return out
+    return _gibbs_point(observables, beta).param_derivative()
 
 
 def gibbs_jacobian(observables, beta) -> np.ndarray:
     """Response matrix J_mn = d E_m / d beta_n of the Gibbs map (symmetric, negative definite)."""
-    relevant = _as_relevant(observables)
-    dstack = gibbs_param_derivative(relevant, beta)
-    M = relevant.size
-    J = np.empty((M, M))
-    for m, P in enumerate(relevant.observables):
-        for n in range(M):
-            J[m, n] = frobenius(P, dstack[n]).real
-    return 0.5 * (J + J.T)
+    return _gibbs_point(observables, beta).jacobian
 
 
-def _canonical_bounds(P: np.ndarray) -> tuple[float, float, float]:
-    w = np.linalg.eigvalsh(P)
+def _canonical_bounds(relevant: RelevantSet) -> tuple[float, float, float]:
+    basis = relevant.spectral_basis
+    w = np.linalg.eigvalsh(relevant.observables[0]) if basis is None else basis[1][0]
     margin = BOUNDARY_MARGIN * (1.0 + float(np.max(np.abs(w))))
     return float(w.min()), float(w.max()), margin
 
@@ -212,60 +287,48 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
 
     Damped Newton iteration with the analytic response matrix: each step is
     halved (up to 60 times) until the max-norm residual decreases.  For a
-    single observable an out-of-range target raises immediately and a
-    monotone bisection takes over if damping stalls.
+    single observable an out-of-range target raises immediately, and a
+    monotone bisection takes over when Newton meets a singular response
+    matrix, stalls, or runs out of iterations.
     """
     relevant = _as_relevant(observables)
     target = _as_params(target, relevant.size)
     if relevant.size == 1:
-        kmin, kmax, margin = _canonical_bounds(relevant.observables[0])
+        kmin, kmax, margin = _canonical_bounds(relevant)
         if not (kmin + margin < target[0] < kmax - margin):
             raise DomainError(
                 f"target expectation {target[0]:.12g} is on or outside the feasible-domain "
                 f"boundary ({kmin:.12g}, {kmax:.12g})"
             )
     beta = np.zeros(relevant.size) if beta_init is None else _as_params(beta_init, relevant.size).copy()
-    resid = gibbs_expectations(relevant, beta) - target
-    best = float(np.max(np.abs(resid)))
+    point = _GibbsPoint(relevant, beta)
+    best = float(np.max(np.abs(point.E - target)))
+    failure = f"no convergence after {max_iter} iterations"
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if best <= tol:
             break
         try:
-            J = gibbs_jacobian(relevant, beta)
-            step = np.linalg.solve(J, -resid)
+            step = np.linalg.solve(point.jacobian, target - point.E)
         except np.linalg.LinAlgError:
-            if relevant.size == 1:
-                beta = np.array([_bisect_beta(relevant, float(target[0]), tol)])
-                resid = gibbs_expectations(relevant, beta) - target
-                best = float(np.max(np.abs(resid)))
-                break
-            raise FitError(f"singular response matrix at beta {beta}, residual {best:.3e}") from None
+            failure = f"singular response matrix at beta {beta}"
+            break
         scale = 1.0
-        accepted = False
         for _ in range(60):
-            candidate = beta + scale * step
-            r = gibbs_expectations(relevant, candidate) - target
-            if float(np.max(np.abs(r))) < best:
-                beta, resid = candidate, r
-                best = float(np.max(np.abs(r)))
-                accepted = True
+            candidate = _GibbsPoint(relevant, beta + scale * step)
+            r = float(np.max(np.abs(candidate.E - target)))
+            if r < best:
+                beta, point, best = beta + scale * step, candidate, r
                 break
             scale *= 0.5
-        if not accepted:
-            if relevant.size == 1:
-                beta = np.array([_bisect_beta(relevant, float(target[0]), tol)])
-                resid = gibbs_expectations(relevant, beta) - target
-                best = float(np.max(np.abs(resid)))
-                break
-            raise FitError(f"damped Newton stalled at residual {best:.3e} after {iterations} iterations")
+        else:
+            failure = f"damped Newton stalled after {iterations} iterations"
+            break
     if best > tol:
-        if relevant.size == 1:
-            beta = np.array([_bisect_beta(relevant, float(target[0]), tol)])
-            resid = gibbs_expectations(relevant, beta) - target
-            best = float(np.max(np.abs(resid)))
-        if best > tol:
-            raise FitError(f"no convergence after {max_iter} iterations, residual {best:.3e}")
+        if relevant.size > 1:
+            raise FitError(f"{failure}, residual {best:.3e}")
+        beta = np.array([_bisect_beta(relevant, float(target[0]), tol)])
+        best = float(abs(gibbs_expectations(relevant, beta)[0] - target[0]))
     if full_output:
         return beta, {"residual": best, "iterations": iterations}
     return beta
@@ -379,21 +442,12 @@ class GibbsAnsatz(AnsatzFamily):
         return self.derivative_from_beta(self.beta_of(E))
 
     def state_and_derivative(self, E) -> tuple[np.ndarray, np.ndarray]:
-        beta = self.beta_of(E)
-        return gibbs_state(self.relevant, beta), self.derivative_from_beta(beta)
+        point = _GibbsPoint(self.relevant, self.beta_of(E))
+        return point.state(), point.derivative()
 
     def derivative_from_beta(self, beta) -> np.ndarray:
         """Parameter derivatives via the chain rule through the fitted exponents."""
-        beta = _as_params(beta, self.size)
-        dstack = gibbs_param_derivative(self.relevant, beta)
-        J = gibbs_jacobian(self.relevant, beta)
-        svals = np.linalg.svd(J, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] <= JACOBIAN_RCOND * svals[0]:
-            raise DegenerateAnsatzError(
-                f"Gibbs response matrix is numerically singular (singular values {svals})"
-            )
-        Jinv = np.linalg.inv(J)
-        return np.einsum("nab,nj->jab", dstack, Jinv)
+        return _gibbs_point(self.relevant, beta).derivative()
 
 
 # ---------------------------------------------------------------------------

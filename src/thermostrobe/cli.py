@@ -6,7 +6,7 @@ file and an optional --out-dir.  Outputs are deterministic: identical inputs
 give byte-identical files (17-significant-digit CSV fields, sorted JSON keys,
 no timestamps or absolute paths).  Exit codes: 0 ok, 1 failed comparison
 check, 2 config error, 3 runtime error (with the protocol step in the
-message).  THERMOSTROBE_THREADS sets the worker count for ladder sweeps.
+message).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +59,6 @@ from .strob import (
     run_ode_temperature,
     velocity_gradient,
 )
-
-ENV_THREADS = "THERMOSTROBE_THREADS"
 
 MODEL_KINDS = ("qubit", "multilevel", "custom-gksl")
 ANSATZ_KINDS = ("gibbs-canonical", "gibbs-generalized", "pinching", "selective", "factorized")
@@ -113,6 +110,13 @@ def _as_float(value, what: str) -> float:
     if not np.isfinite(out):
         raise ConfigError(f"{what} must be finite, got {out}")
     return out
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _parse_entry(entry, what: str) -> complex:
@@ -282,7 +286,7 @@ def build_ansatz(section, model: ModelBundle) -> AnsatzFamily:
         if not isinstance(dims, (list, tuple)) or len(dims) != 2:
             raise ConfigError(f"ansatz.dims must be [system, bath], got {dims!r}")
         return FactorizedAnsatz(_parse_matrix(section["bath_state"], "ansatz.bath_state"),
-                                (int(dims[0]), int(dims[1])))
+                                tuple(_as_int(n, "ansatz.dims") for n in dims))
     except ConfigError:
         raise
     except ThermostrobeError as err:
@@ -337,19 +341,6 @@ def build_initial(section, family: AnsatzFamily) -> tuple[np.ndarray, float | No
         return extract_params(family, rho), None
     except ValidationError as err:
         raise ConfigError(f"invalid initial.rho: {err}") from err
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(ENV_THREADS, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{ENV_THREADS} must be at least 1, got {n}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +541,7 @@ def cmd_compare(scenario: dict, out_dir: str) -> int:
     dts = [_as_float(dt, "compare.dts") for dt in dts]
     if "initial" not in scenario:
         raise ConfigError("scenario is missing the required key 'initial'")
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(lambda dt: _compare_point(scenario, dt, scenario["initial"]), dts))
-    else:
-        points = [_compare_point(scenario, dt, scenario["initial"]) for dt in dts]
+    points = [_compare_point(scenario, dt, scenario["initial"]) for dt in dts]
 
     report: dict = {"name": name, "dts": dts,
                     "model": _require_map(scenario["model"], "model").get("kind"),
@@ -592,7 +578,7 @@ def cmd_fit(scenario: dict, out_dir: str) -> int:
     fit_section = dict(_require_map(scenario.get("fit", {}) or {}, "fit"))
     _known_keys(fit_section, {"target_E", "tail_of", "tol", "max_iter"}, "fit")
     tol = _as_float(fit_section.get("tol", 1e-10), "fit.tol")
-    max_iter = int(fit_section.get("max_iter", 200))
+    max_iter = _as_int(fit_section.get("max_iter", 200), "fit.max_iter")
     report: dict = {"name": name, "model": model.kind, "ansatz": family.label}
     if fit_section.get("target_E") is not None:
         target = fit_section["target_E"]

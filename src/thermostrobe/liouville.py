@@ -50,8 +50,8 @@ def require_density(rho, name: str = "state") -> np.ndarray:
 class GkslGenerator:
     """Hamiltonian plus (jump operator, rate) pairs defining a Markovian generator.
 
-    Rates must be nonnegative; pass check_rates=False only to build a
-    deliberately non-physical generator for diagnostics.
+    Rates must be finite and nonnegative; pass check_rates=False only to build
+    a deliberately non-physical generator (negative rates) for diagnostics.
     """
 
     hamiltonian: np.ndarray
@@ -65,6 +65,8 @@ class GkslGenerator:
             op = require_square(op, "jump operator")
             require_same_shape(H, op, "hamiltonian and jump operator")
             rate = float(rate)
+            if not np.isfinite(rate):
+                raise ValidationError(f"jump rate {rate} is not finite")
             if check_rates and rate < 0.0:
                 raise ValidationError(f"jump rate {rate} is negative")
             cleaned.append((op, rate))

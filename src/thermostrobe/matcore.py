@@ -125,12 +125,18 @@ def dexp_neg(K, D) -> np.ndarray:
     require_same_shape(K, D, "base point and direction")
     w, U = np.linalg.eigh(K)
     Dt = U.conj().T @ D @ U
+    return hermitize(U @ (exp_neg_kernel(w) * Dt) @ U.conj().T)
+
+
+def exp_neg_kernel(w: np.ndarray) -> np.ndarray:
+    """Daleckii-Krein kernel of k -> exp(-k) on a spectrum w: the divided
+    differences (exp(-w_i) - exp(-w_j)) / (w_i - w_j), with the midpoint limit
+    -exp(-(w_i+w_j)/2) for pairs closer than DEGENERATE_EIG_TOL."""
     ew = np.exp(-w)
     diff = w[:, None] - w[None, :]
     near = np.abs(diff) < DEGENERATE_EIG_TOL
     safe = np.where(near, 1.0, diff)
-    kernel = np.where(near, -np.exp(-0.5 * (w[:, None] + w[None, :])), (ew[:, None] - ew[None, :]) / safe)
-    return hermitize(U @ (kernel * Dt) @ U.conj().T)
+    return np.where(near, -np.exp(-0.5 * (w[:, None] + w[None, :])), (ew[:, None] - ew[None, :]) / safe)
 
 
 def frobenius(A, B) -> complex:

@@ -15,20 +15,21 @@ of {I, P_1, ..., P_M} is invariant under the adjoint generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
+from functools import cached_property
+from math import ceil, isfinite
 
 import numpy as np
 
 from .ansatz import (
     AnsatzFamily,
     GibbsAnsatz,
-    RelevantSet,
     _as_params,
     _as_relevant,
+    _GibbsPoint,
+    _rotate,
     extract_params,
     gibbs_expectations,
     gibbs_jacobian,
-    gibbs_state,
 )
 from .errors import (
     CapacityError,
@@ -60,6 +61,10 @@ class StrobConfig:
     step_cap: int = STEP_CAP_DEFAULT
 
     def __post_init__(self) -> None:
+        for name in ("lam", "dt", "horizon", "alpha", "ode_step", "fd_step"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not (self.dt > 0.0):
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.lam < 0.0:
@@ -134,12 +139,12 @@ def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
     n = cfg.n_steps()
     _check_cap(n, cfg.step_cap)
     propagator = Propagator.build(gen, cfg.lam * cfg.dt)
-    ev = _FamilyEvaluator(family)
+    kernel = _MomentKernel(gen, family)
     E = _as_params(E0, family.size)
     rows = [E]
     for k in range(n):
         try:
-            E = extract_params(family, propagator.apply(ev.state(E)))
+            E = extract_params(family, propagator.apply(kernel.state(E)))
         except ThermostrobeError as err:
             raise _with_step_context(err, k, k * cfg.dt)
         rows.append(E)
@@ -150,57 +155,119 @@ def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
 
 
 def _temps_for(family: AnsatzFamily, params: np.ndarray) -> np.ndarray | None:
-    beta_of = getattr(family, "beta_of", None)
-    if beta_of is None:
+    """Fitted Gibbs exponents of every row, each fit warm-started from the previous row."""
+    if not isinstance(family, GibbsAnsatz):
         return None
-    return np.array([beta_of(row) for row in params])
+    temps = []
+    beta = None
+    for row in params:
+        beta = family.beta_of(row, beta_init=beta)
+        temps.append(beta)
+    return np.array(temps)
 
 
 # ---------------------------------------------------------------------------
 # Continuum-limit moments
 
 
+class _MomentKernel:
+    """Per-run access to a family's states and continuum-limit moments.
+
+    At a point it returns the first moments <A_m>, the second moments <B_m>
+    and the velocity gradient W_mj = d<A_m>/dE_j, with the Heisenberg images
+    A_m = L*(P_m) and B_m = L*(A_m) built once.  Gibbs fits are warm-started
+    from the previous point.  When the Gibbs observables commute every state
+    is diagonal in their common eigenbasis U, so only the vectors
+    diag(U^dag A_m U) and diag(U^dag B_m U) enter and no d x d matrix is formed.
+    """
+
+    def __init__(self, gen: GkslGenerator, family: AnsatzFamily, gradient_mode: str = "analytic",
+                 fd_step: float = 1e-5):
+        if gradient_mode not in ("analytic", "fd"):
+            raise ValidationError(f"unknown gradient mode {gradient_mode!r}")
+        self.gen = gen
+        self.family = family
+        self.mode = gradient_mode
+        self.fd_step = fd_step
+        self._gibbs = isinstance(family, GibbsAnsatz)
+        self._beta = None
+
+    @cached_property
+    def _images(self) -> np.ndarray:
+        """Stack (A_1..A_M, B_1..B_M), as diagonals in the common eigenbasis when there is one."""
+        A = [apply_heisenberg(self.gen, P) for P in self.family.relevant.observables]
+        images = np.array(A + [apply_heisenberg(self.gen, Am) for Am in A])
+        basis = self.family.relevant.spectral_basis if self._gibbs else None
+        return images if basis is None else _rotate(basis[0], images, diagonal=True)
+
+    def _point(self, E: np.ndarray) -> _GibbsPoint:
+        self._beta = self.family.beta_of(E, beta_init=self._beta)
+        return _GibbsPoint(self.family.relevant, self._beta)
+
+    def state(self, E: np.ndarray) -> np.ndarray:
+        return self._point(E).state() if self._gibbs else self.family.state_of(E)
+
+    def at_point(self, point: _GibbsPoint, gradient: bool = True):
+        """(<A>, <B>, W) at a Gibbs point; W is None without gradient."""
+        M = self.family.size
+        X = self._images if point.diagonal else _rotate(point.U, self._images, diagonal=False)
+        ab = point.expect(X)
+        W = point.expect_derivative(X[:M]) @ point.response_inverse() if gradient else None
+        return ab[:M], ab[M:], W
+
+    def moments(self, E, gradient: bool = True):
+        """(<A>, <B>, W) at parameters E; W is None without gradient."""
+        M = self.family.size
+        E = _as_params(E, M)
+        analytic = gradient and self.mode == "analytic"
+        if self._gibbs:
+            a, b, W = self.at_point(self._point(E), analytic)
+        else:
+            if analytic:
+                rho, derivs = self.family.state_and_derivative(E)
+                W = np.einsum("mab,jab->mj", self._images[:M].conj(), derivs).real
+            else:
+                rho, W = self.family.state_of(E), None
+            ab = np.einsum("mab,ab->m", self._images.conj(), rho).real
+            a, b = ab[:M], ab[M:]
+        if gradient and self.mode == "fd":
+            W = np.empty((M, M))
+            for j in range(M):
+                bump = np.zeros(M)
+                bump[j] = self.fd_step
+                W[:, j] = (self.moments(E + bump, False)[0]
+                           - self.moments(E - bump, False)[0]) / (2.0 * self.fd_step)
+        return a, b, W
+
+    def temperature_velocity(self, beta: float, cfg: StrobConfig) -> float:
+        """dbeta/dt = -(beta^2 / C) dE/dt at a known inverse temperature: nothing is fitted."""
+        point = _GibbsPoint(self.family.relevant, np.array([beta]))
+        dE = _second_order(cfg, *self.at_point(point))[0]
+        C = _capacity(beta, point.jacobian[0, 0])
+        if C < 1e-15 * (1.0 + beta * beta):
+            raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
+        return dE * (-(beta * beta) / C)
+
+
+def _second_order(cfg: StrobConfig, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Parameter velocity with the finite-reset correction, lam <A> + (alpha/2)(<B> - W <A>)."""
+    return cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a)
+
+
 def relevant_velocity(gen: GkslGenerator, family: AnsatzFamily, E) -> np.ndarray:
     """First moments <A_m> = Tr(L*(P_m) state_of(E))."""
-    E = _as_params(E, family.size)
-    rho = family.state_of(E)
-    out = np.empty(family.size)
-    for m, P in enumerate(family.relevant.observables):
-        out[m] = frobenius(apply_heisenberg(gen, P), rho).real
-    return out
+    return _MomentKernel(gen, family).moments(E, gradient=False)[0]
 
 
 def relevant_curvature(gen: GkslGenerator, family: AnsatzFamily, E) -> np.ndarray:
     """Second moments <B_m> = Tr(L*(L*(P_m)) state_of(E))."""
-    E = _as_params(E, family.size)
-    rho = family.state_of(E)
-    out = np.empty(family.size)
-    for m, P in enumerate(family.relevant.observables):
-        out[m] = frobenius(apply_heisenberg(gen, apply_heisenberg(gen, P)), rho).real
-    return out
+    return _MomentKernel(gen, family).moments(E, gradient=False)[1]
 
 
 def velocity_gradient(gen: GkslGenerator, family: AnsatzFamily, E, mode: str = "analytic",
                       fd_step: float = 1e-5) -> np.ndarray:
     """Matrix W_mj = d<A_m>/dE_j along the family."""
-    E = _as_params(E, family.size)
-    M = family.size
-    W = np.empty((M, M))
-    if mode == "analytic":
-        derivs = family.derivative_of(E)
-        for m, P in enumerate(family.relevant.observables):
-            A = apply_heisenberg(gen, P)
-            for j in range(M):
-                W[m, j] = frobenius(A, derivs[j]).real
-        return W
-    if mode == "fd":
-        for j in range(M):
-            bump = np.zeros(M)
-            bump[j] = fd_step
-            W[:, j] = (relevant_velocity(gen, family, E + bump)
-                       - relevant_velocity(gen, family, E - bump)) / (2.0 * fd_step)
-        return W
-    raise ValidationError(f"unknown gradient mode {mode!r}")
+    return _MomentKernel(gen, family, mode, fd_step).moments(E)[2]
 
 
 def ode_rhs_first_order(gen: GkslGenerator, family: AnsatzFamily, E, cfg: StrobConfig) -> np.ndarray:
@@ -211,32 +278,31 @@ def ode_rhs_first_order(gen: GkslGenerator, family: AnsatzFamily, E, cfg: StrobC
 def ode_rhs_second_order(gen: GkslGenerator, family: AnsatzFamily, E, cfg: StrobConfig,
                          gradient_mode: str = "analytic") -> np.ndarray:
     """Parameter velocity with the finite-reset correction at fixed alpha."""
-    a = relevant_velocity(gen, family, E)
-    b = relevant_curvature(gen, family, E)
-    W = velocity_gradient(gen, family, E, mode=gradient_mode, fd_step=cfg.fd_step)
-    return cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a)
+    return _second_order(cfg, *_MomentKernel(gen, family, gradient_mode, cfg.fd_step).moments(E))
+
+
+def _require_canonical(family: AnsatzFamily, what: str) -> None:
+    if not isinstance(family, GibbsAnsatz) or family.size != 1:
+        raise ContractError(f"{what} needs a canonical (single-observable) Gibbs family")
+
+
+def _capacity(beta: float, J: float) -> float:
+    if beta == 0.0:
+        raise DomainError("heat capacity is undefined at beta = 0 (dbeta/dE blows up)")
+    return -(beta**2) * J
 
 
 def heat_capacity(family: GibbsAnsatz, beta: float) -> float:
     """C(beta) = -beta^2 dE/dbeta for a single-observable Gibbs family."""
-    if not isinstance(family, GibbsAnsatz) or family.size != 1:
-        raise ContractError("heat capacity needs a canonical (single-observable) Gibbs family")
+    _require_canonical(family, "heat capacity")
     beta = float(beta)
-    if beta == 0.0:
-        raise DomainError("heat capacity is undefined at beta = 0 (dbeta/dE blows up)")
-    J = gibbs_jacobian(family.relevant, [beta])[0, 0]
-    return -(beta**2) * J
+    return _capacity(beta, gibbs_jacobian(family.relevant, [beta])[0, 0])
 
 
 def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cfg: StrobConfig) -> float:
     """Temperature form of the second-order velocity, dbeta/dt = -(beta^2 / C) dE/dt."""
-    beta = float(beta)
-    E = gibbs_expectations(family.relevant, [beta])
-    dE = ode_rhs_second_order(gen, family, E, cfg)[0]
-    C = heat_capacity(family, beta)
-    if C < 1e-15 * (1.0 + beta * beta):
-        raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
-    return dE * (-(beta * beta) / C)
+    _require_canonical(family, "the temperature velocity")
+    return _MomentKernel(gen, family).temperature_velocity(float(beta), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -275,71 +341,6 @@ def _sub_steps(cfg: StrobConfig) -> tuple[int, float]:
     return n_sub, cfg.dt / n_sub
 
 
-def _heisenberg_images(gen: GkslGenerator, relevant: RelevantSet):
-    A = [apply_heisenberg(gen, P) for P in relevant.observables]
-    B = [apply_heisenberg(gen, Am) for Am in A]
-    return A, B
-
-
-class _FamilyEvaluator:
-    """Per-run family access that warm-starts Gibbs fits from the previous point."""
-
-    def __init__(self, family: AnsatzFamily):
-        self.family = family
-        self._warm = isinstance(family, GibbsAnsatz)
-        self._beta = None
-
-    def _beta_of(self, E: np.ndarray) -> np.ndarray:
-        beta = self.family.beta_of(E) if self._beta is None else self.family.beta_of(E, beta_init=self._beta)
-        self._beta = beta
-        return beta
-
-    def state(self, E: np.ndarray) -> np.ndarray:
-        if self._warm:
-            return gibbs_state(self.family.relevant, self._beta_of(E))
-        return self.family.state_of(E)
-
-    def state_and_derivative(self, E: np.ndarray):
-        if self._warm:
-            beta = self._beta_of(E)
-            return gibbs_state(self.family.relevant, beta), self.family.derivative_from_beta(beta)
-        return self.family.state_and_derivative(E)
-
-
-def _prepared_rhs(gen: GkslGenerator, family: AnsatzFamily, cfg: StrobConfig, order: int,
-                  mode: str):
-    """Velocity closure with the Heisenberg images precomputed once per run."""
-    A, B = _heisenberg_images(gen, family.relevant)
-    M = family.size
-    ev = _FamilyEvaluator(family)
-
-    def velocities(rho: np.ndarray) -> np.ndarray:
-        return np.array([frobenius(Am, rho).real for Am in A])
-
-    if order == 1:
-        def rhs(E: np.ndarray) -> np.ndarray:
-            return cfg.lam * velocities(ev.state(E))
-        return rhs
-
-    def rhs(E: np.ndarray) -> np.ndarray:
-        if mode == "fd":
-            rho = ev.state(E)
-            W = np.empty((M, M))
-            for j in range(M):
-                bump = np.zeros(M)
-                bump[j] = cfg.fd_step
-                W[:, j] = (velocities(ev.state(E + bump))
-                           - velocities(ev.state(E - bump))) / (2.0 * cfg.fd_step)
-        else:
-            rho, derivs = ev.state_and_derivative(E)
-            W = np.array([[frobenius(Am, Dj).real for Dj in derivs] for Am in A])
-        a = velocities(rho)
-        b = np.array([frobenius(Bm, rho).real for Bm in B])
-        return cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a)
-
-    return rhs
-
-
 def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, order: int = 2,
             with_temps: bool = False, gradient_mode: str | None = None) -> Trajectory:
     """Integrate the continuum-limit parameter velocity, sampled on the dt grid."""
@@ -349,7 +350,12 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
     n_sub, h = _sub_steps(cfg)
     _check_cap(n * n_sub, cfg.step_cap)
     mode = gradient_mode or ("fd" if cfg.fd_check else "analytic")
-    rhs = _prepared_rhs(gen, family, cfg, order, mode)
+    kernel = _MomentKernel(gen, family, mode, cfg.fd_step)
+
+    def rhs(E: np.ndarray) -> np.ndarray:
+        if order == 1:
+            return cfg.lam * kernel.moments(E, gradient=False)[0]
+        return _second_order(cfg, *kernel.moments(E))
 
     E = _as_params(E0, family.size)
     rows = [E]
@@ -378,29 +384,14 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
 def run_ode_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta0: float,
                         cfg: StrobConfig) -> Trajectory:
     """Integrate the temperature form dbeta/dt for a canonical Gibbs family."""
-    if not isinstance(family, GibbsAnsatz) or family.size != 1:
-        raise ContractError("the temperature velocity needs a canonical Gibbs family")
+    _require_canonical(family, "the temperature velocity")
     n = cfg.n_steps()
     n_sub, h = _sub_steps(cfg)
     _check_cap(n * n_sub, cfg.step_cap)
-    A, B = _heisenberg_images(gen, family.relevant)
-    relevant = family.relevant
+    kernel = _MomentKernel(gen, family)
 
     def rhs(bvec: np.ndarray) -> np.ndarray:
-        # known beta: no fitting needed anywhere in the velocity
-        beta = _as_params(bvec, 1)
-        rho = gibbs_state(relevant, beta)
-        derivs = family.derivative_from_beta(beta)
-        a = np.array([frobenius(Am, rho).real for Am in A])
-        b = np.array([frobenius(Bm, rho).real for Bm in B])
-        W = np.array([[frobenius(Am, Dj).real for Dj in derivs] for Am in A])
-        dE = (cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a))[0]
-        C = heat_capacity(family, float(beta[0]))
-        if C < 1e-15 * (1.0 + float(beta[0]) ** 2):
-            raise SingularityError(
-                f"heat capacity {C:.3e} at beta = {beta[0]:.6g} is too small to invert"
-            )
-        return np.array([dE * (-(float(beta[0]) ** 2) / C)])
+        return np.array([kernel.temperature_velocity(float(bvec[0]), cfg)])
 
     b = np.array([float(beta0)])
     temps = [b.copy()]

@@ -153,6 +153,20 @@ def test_simulate_custom_gksl_static_state(tmp_path):
         assert len(values) == 1  # nothing moves under the zero generator
 
 
+def test_factorized_non_integer_dims_is_config_error(tmp_path, capsys):
+    sc = {
+        "name": "fact",
+        "model": {"kind": "custom-gksl", "hamiltonian": np.eye(4).tolist(), "jumps": []},
+        "ansatz": {"kind": "factorized", "bath_state": [[0.5, 0.0], [0.0, 0.5]], "dims": [2, "x"]},
+        "protocols": ["discrete"],
+        "strob": {"dt": 0.1, "horizon": 0.5},
+        "initial": {"E": [0.5, 0.0, 0.0]},
+    }
+    path = scenario_file(tmp_path, sc)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: ansatz.dims must be an integer" in capsys.readouterr().err
+
+
 def test_simulate_complex_matrix_entries(tmp_path):
     sc = {
         "name": "cplx",
@@ -277,25 +291,10 @@ def test_compare_report(tmp_path):
             assert (out / f"ladder_dt{i}_{proto}.csv").exists()
 
 
-def test_compare_threaded_matches_serial(tmp_path, monkeypatch):
-    path = scenario_file(tmp_path, compare_scenario())
-    out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-    assert main(["compare", path, "--out-dir", str(out1)]) == 0
-    monkeypatch.setenv("THERMOSTROBE_THREADS", "2")
-    assert main(["compare", path, "--out-dir", str(out2)]) == 0
-    assert (out1 / "ladder_compare.json").read_bytes() == (out2 / "ladder_compare.json").read_bytes()
-
-
 def test_compare_rejects_single_dt(tmp_path):
     sc = compare_scenario()
     sc["compare"] = {"dts": [0.1]}
     path = scenario_file(tmp_path, sc)
-    assert main(["compare", path, "--out-dir", str(tmp_path / "o")]) == 2
-
-
-def test_compare_rejects_bad_thread_env(tmp_path, monkeypatch):
-    path = scenario_file(tmp_path, compare_scenario())
-    monkeypatch.setenv("THERMOSTROBE_THREADS", "many")
     assert main(["compare", path, "--out-dir", str(tmp_path / "o")]) == 2
 
 
@@ -331,6 +330,13 @@ def test_fit_out_of_range_target(tmp_path, capsys):
     path = scenario_file(tmp_path, sc)
     assert main(["fit", path, "--out-dir", str(tmp_path / "o")]) == 3
     assert "feasible-domain boundary" in capsys.readouterr().err
+
+
+def test_fit_non_integer_max_iter_is_config_error(tmp_path, capsys):
+    sc = variant(QUBIT_BASE, name="fit", fit={"target_E": [0.3], "max_iter": "abc"})
+    path = scenario_file(tmp_path, sc)
+    assert main(["fit", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: fit.max_iter must be an integer" in capsys.readouterr().err
 
 
 def test_fit_needs_gibbs_ansatz(tmp_path):

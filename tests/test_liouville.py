@@ -62,6 +62,13 @@ def test_generator_validation(rng):
         GkslGenerator(hamiltonian=H, jumps=((random_complex(rng, 3), 0.5),))
 
 
+def test_generator_rejects_nan_rate():
+    H = np.diag([1.0, 0.0]).astype(complex)
+    for check_rates in (True, False):
+        with pytest.raises(ValidationError, match="not finite"):
+            GkslGenerator(hamiltonian=H, jumps=((SIGMA_MINUS, float("nan")),), check_rates=check_rates)
+
+
 def test_schrodinger_traceless_and_hermitian(rng):
     gen = random_generator(rng, 4)
     rho = random_density(rng, 4)

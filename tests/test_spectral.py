@@ -1,0 +1,144 @@
+"""The spectral Gibbs path against the dense reference formulas.
+
+A relevant set whose observables commute is evaluated in their common
+eigenbasis without diagonalizing K = (beta, P); any other set diagonalizes K
+once per point.  Both are checked here against the dense formulas: an
+eigensolve of K, the directional derivative dexp_neg per direction and
+Frobenius pairings.  Inputs are drawn where those formulas are themselves
+accurate to roundoff (response matrix condition at most 100, distinct levels
+of K at least 1e-2 apart); elsewhere the dense reference loses more digits
+than the spectral path does.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from thermostrobe import (
+    GibbsAnsatz,
+    RelevantSet,
+    StrobConfig,
+    apply_heisenberg,
+    dexp_neg,
+    frobenius,
+    gibbs_expectations,
+    gibbs_jacobian,
+    gibbs_param_derivative,
+    gibbs_state,
+    hermitize,
+    ode_rhs_first_order,
+    ode_rhs_second_order,
+    ode_rhs_temperature,
+)
+from tutil import random_generator, random_hermitian
+
+TOL = 1e-12
+CFG = StrobConfig(lam=1.3, dt=0.1, horizon=1.0)
+
+
+def dense_gibbs(obs, beta):
+    """Reference state, expectations, response matrix, d rho/d beta and d rho/d E."""
+    K = sum(b * P for b, P in zip(beta, obs))
+    w, U = np.linalg.eigh(hermitize(K))
+    w = w - w.min()
+    weights = np.exp(-w)
+    Z = weights.sum()
+    rho = hermitize((U * (weights / Z)) @ U.conj().T)
+    E = np.array([frobenius(P, rho).real for P in obs])
+    K = hermitize((U * w) @ U.conj().T)
+    dstack = np.array([dexp_neg(K, P) / Z + rho * E[n] for n, P in enumerate(obs)])
+    J = np.array([[frobenius(P, D).real for D in dstack] for P in obs])
+    J = 0.5 * (J + J.T)
+    derivs = np.einsum("nab,nj->jab", dstack, np.linalg.inv(J))
+    return rho, E, J, dstack, derivs
+
+
+def dense_rhs(gen, obs, rho, derivs):
+    """Reference ode1 and ode2 velocities from the Heisenberg images."""
+    A = [apply_heisenberg(gen, P) for P in obs]
+    B = [apply_heisenberg(gen, Am) for Am in A]
+    a = np.array([frobenius(Am, rho).real for Am in A])
+    b = np.array([frobenius(Bm, rho).real for Bm in B])
+    W = np.array([[frobenius(Am, D).real for D in derivs] for Am in A])
+    scale = 1.0 + max(float(np.max(np.abs(X))) for X in A + B)
+    return CFG.lam * a, CFG.lam * a + 0.5 * CFG.alpha * (b - W @ a), scale
+
+
+def commuting_set(rng, d, M):
+    """M observables sharing a random eigenbasis, with degenerate joint levels
+    whenever fewer than d distinct ones are drawn."""
+    U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    L = int(rng.integers(M + 1, d + 1))
+    levels = np.array([rng.permutation(L) + rng.uniform(-0.2, 0.2, L) for _ in range(M)])
+    levels -= levels.mean(axis=1, keepdims=True)
+    idx = np.concatenate([np.arange(L), rng.integers(0, L, size=d - L)])
+    table = levels[:, rng.permutation(idx)]
+    return tuple(U @ np.diag(t) @ U.conj().T for t in table)
+
+
+def assert_close(got, ref, scale=None):
+    scale = 1.0 + float(np.max(np.abs(ref))) if scale is None else scale
+    assert float(np.max(np.abs(np.asarray(got) - ref))) <= TOL * scale
+
+
+def check_against_dense(rng, obs, spectral):
+    rs = RelevantSet(obs)
+    assert (rs.spectral_basis is not None) == spectral
+    beta = rng.uniform(-0.8, 0.8, size=rs.size)
+    rho, E, J, dstack, derivs = dense_gibbs(obs, beta)
+    gaps = np.diff(np.linalg.eigvalsh(sum(b * P for b, P in zip(beta, obs))))
+    assume(np.linalg.cond(J) <= 100.0 and not np.any((gaps > 1e-9) & (gaps < 1e-2)))
+
+    assert_close(gibbs_state(rs, beta), rho)
+    assert_close(gibbs_expectations(rs, beta), E)
+    assert_close(gibbs_jacobian(rs, beta), J)
+    assert_close(gibbs_param_derivative(rs, beta), dstack)
+    fam = GibbsAnsatz(rs, fit_tol=1e-13)
+    assert_close(fam.derivative_from_beta(beta), derivs)
+    assert_close(fam.derivative_of(E), derivs)
+    # a residual of TOL in the expectations moves beta by at most TOL |J^-1|
+    fitted = fam.beta_of(E)
+    assert float(np.max(np.abs(fitted - beta))) <= TOL * np.linalg.norm(np.linalg.inv(J), 2)
+
+    gen = random_generator(rng, rs.dim)
+    rho_fit, *_, derivs_fit = dense_gibbs(obs, fitted)
+    ode1, ode2, scale = dense_rhs(gen, obs, rho_fit, derivs_fit)
+    assert_close(ode_rhs_first_order(gen, fam, E, CFG), ode1, scale)
+    assert_close(ode_rhs_second_order(gen, fam, E, CFG), ode2, scale)
+    if rs.size == 1:
+        _, ode2, scale = dense_rhs(gen, obs, rho, derivs)
+        expected = ode2[0] / J[0, 0]  # -(beta^2 / C) dE/dt with C = -beta^2 J
+        assert_close(ode_rhs_temperature(gen, fam, beta[0], CFG), expected, scale / abs(J[0, 0]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_commuting_sets_take_the_spectral_path(d, M, seed):
+    rng = np.random.default_rng(seed)
+    check_against_dense(rng, commuting_set(rng, d, min(M, d - 1)), spectral=True)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=3),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_non_commuting_sets_match_dense_formulas(d, M, seed):
+    rng = np.random.default_rng(seed)
+    check_against_dense(rng, tuple(random_hermitian(rng, d) for _ in range(M)), spectral=False)
+
+
+def test_spectral_table_reproduces_observables(rng):
+    obs = commuting_set(rng, 5, 2)
+    U, w = RelevantSet(obs).spectral_basis
+    for P, row in zip(obs, w):
+        assert np.max(np.abs(U @ np.diag(row) @ U.conj().T - P)) <= 1e-13
+
+
+def test_near_commuting_set_falls_back_to_dense(rng):
+    P1, P2 = commuting_set(rng, 4, 2)
+    obs = (P1, P2 + 1e-7 * random_hermitian(rng, 4))
+    assert RelevantSet(obs).spectral_basis is None
+    beta = np.array([0.4, -0.3])
+    rho, E, J, _, derivs = dense_gibbs(obs, beta)
+    assert_close(gibbs_state(obs, beta), rho)
+    assert_close(gibbs_jacobian(obs, beta), J)
+    assert_close(GibbsAnsatz(obs).derivative_from_beta(beta), derivs)

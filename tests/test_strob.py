@@ -94,6 +94,17 @@ def test_config_validation_errors():
         StrobConfig(dt=0.1, horizon=1.0, step_cap=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"lam": float("nan")},
+    {"horizon": float("inf")},
+    {"dt": float("inf")},
+    {"horizon": float("nan")},
+], ids=["lam-nan", "horizon-inf", "dt-inf", "horizon-nan"])
+def test_config_rejects_non_finite(kwargs):
+    with pytest.raises(ValidationError, match="finite"):
+        StrobConfig(**{"dt": 0.1, "horizon": 1.0, **kwargs})
+
+
 def test_config_n_steps_requires_whole_grid():
     assert StrobConfig(dt=0.1, horizon=1.0).n_steps() == 10
     with pytest.raises(ValidationError, match="horizon"):

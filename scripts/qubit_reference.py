@@ -49,8 +49,6 @@ def main():
     print(f"  discrete protocol: E = {e_disc:.12f}  beta = {qubit_beta_closed_form(e_disc, p.omega0):.12f}")
     print(f"  second-order ODE:  E = {e_ode2:.12f}  beta = {qubit_beta_closed_form(e_ode2, p.omega0):.12f}")
     print(f"  closed-form rate:  E = {qubit_E_stationary(p):.12f}  beta = {qubit_beta_stationary(p):.12f}")
-    print("\nthe closed-form row uses the stronger printed drive correction, so its")
-    print("fixed point sits slightly farther from equilibrium than the protocol's")
 
 
 if __name__ == "__main__":

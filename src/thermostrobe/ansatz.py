@@ -469,79 +469,36 @@ class _BlockCoords:
     """Real coordinates for Hermitian matrices supported on given index blocks.
 
     Per block the upper triangle is walked row-major: the diagonal entry
-    first, then (2 Re, 2 Im) pairs for each off-diagonal entry.  With
+    first, then (2 Re, 2 Im) pairs for each off-diagonal entry.  Coordinate m
+    is the expectation of the observable P[m], and a matrix is rebuilt from
+    the coordinates along the dual directions D[m] = P[m] / Tr(P[m]^2).  With
     drop_last_diag the final diagonal coordinate is omitted and recovered
-    from the unit trace.
+    from the trace, so each diagonal direction also subtracts that entry.
     """
 
     def __init__(self, blocks: list[list[int]], d: int, drop_last_diag: bool):
-        self.blocks = [list(b) for b in blocks]
-        self.d = d
-        self.drop_last_diag = drop_last_diag
-        entries: list[tuple[str, int, int]] = []
-        for block in self.blocks:
+        units = np.eye(d, dtype=complex)
+        P = []
+        for block in blocks:
             for a, i in enumerate(block):
-                entries.append(("diag", i, i))
+                P.append(np.outer(units[i], units[i]))
                 for j in block[a + 1:]:
-                    entries.append(("re", i, j))
-                    entries.append(("im", i, j))
+                    upper = np.outer(units[i], units[j])
+                    P += [upper + upper.T, 1j * (upper - upper.T)]
+        # the walk ends on the last block's last diagonal entry
+        self.dropped_index = blocks[-1][-1] if drop_last_diag else None
+        self.P = np.array(P[:-1] if drop_last_diag else P)
+        self.D = self.P / np.einsum("mab,mba->m", self.P, self.P).real[:, None, None]
         if drop_last_diag:
-            last = max(m for m, e in enumerate(entries) if e[0] == "diag")
-            self.dropped_index = entries[last][1]
-            entries.pop(last)
-        else:
-            self.dropped_index = None
-        self.entries = entries
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def observables(self) -> list[np.ndarray]:
-        out = []
-        for kind, i, j in self.entries:
-            P = np.zeros((self.d, self.d), dtype=complex)
-            if kind == "diag":
-                P[i, i] = 1.0
-            elif kind == "re":
-                P[i, j] = 1.0
-                P[j, i] = 1.0
-            else:
-                P[i, j] = 1.0j
-                P[j, i] = -1.0j
-            out.append(P)
-        return out
-
-    def derivatives(self) -> np.ndarray:
-        out = np.zeros((self.size, self.d, self.d), dtype=complex)
-        for m, (kind, i, j) in enumerate(self.entries):
-            if kind == "diag":
-                out[m, i, i] = 1.0
-                if self.dropped_index is not None:
-                    out[m, self.dropped_index, self.dropped_index] = -1.0
-            elif kind == "re":
-                out[m, i, j] = 0.5
-                out[m, j, i] = 0.5
-            else:
-                out[m, i, j] = 0.5j
-                out[m, j, i] = -0.5j
-        return out
+            self.D -= np.einsum("maa->m", self.P)[:, None, None] * P[-1]
+        self._flat_D = self.D.reshape(len(self.P), d * d)
 
     def assemble(self, E: np.ndarray, trace: float | None) -> np.ndarray:
-        S = np.zeros((self.d, self.d), dtype=complex)
-        for value, (kind, i, j) in zip(E, self.entries):
-            if kind == "diag":
-                S[i, i] += value
-            elif kind == "re":
-                S[i, j] += 0.5 * value
-                S[j, i] += 0.5 * value
-            else:
-                S[i, j] += 0.5j * value
-                S[j, i] += -0.5j * value
+        S = (E @ self._flat_D).reshape(self.D.shape[1:])
         if self.dropped_index is not None:
             if trace is None:
                 raise ValidationError("a trace is required to recover the dropped diagonal entry")
-            S[self.dropped_index, self.dropped_index] = trace - S.trace().real + S[self.dropped_index, self.dropped_index].real
+            S[self.dropped_index, self.dropped_index] += trace
         return S
 
 
@@ -565,8 +522,8 @@ class PinchingAnsatz(AnsatzFamily):
         d = X.shape[0]
         self._coords = _BlockCoords(self._blocks, d, drop_last_diag=True)
         Ud = U.conj().T
-        self.relevant = RelevantSet(tuple(hermitize(U @ P @ Ud) for P in self._coords.observables()))
-        self._derivs = np.array([hermitize(U @ D @ Ud) for D in self._coords.derivatives()])
+        self.relevant = RelevantSet(tuple(hermitize(U @ P @ Ud) for P in self._coords.P))
+        self._derivs = np.array([hermitize(U @ D @ Ud) for D in self._coords.D])
 
     def state_of(self, E) -> np.ndarray:
         E = _as_params(E, self.size)
@@ -617,8 +574,7 @@ class SelectiveAnsatz(AnsatzFamily):
         d = X.shape[0]
         self._coords = _BlockCoords([selected], d, drop_last_diag=False)
         Ud = U.conj().T
-        self.relevant = RelevantSet(tuple(hermitize(U @ P @ Ud) for P in self._coords.observables()))
-        self._raw_derivs = self._coords.derivatives()
+        self.relevant = RelevantSet(tuple(hermitize(U @ P @ Ud) for P in self._coords.P))
 
     def _sigma_of(self, E: np.ndarray) -> tuple[np.ndarray, float]:
         S = self._coords.assemble(E, trace=None)
@@ -639,12 +595,10 @@ class SelectiveAnsatz(AnsatzFamily):
     def derivative_of(self, E) -> np.ndarray:
         E = _as_params(E, self.size)
         S, weight = self._sigma_of(E)
-        out = np.empty((self.size, self.dim, self.dim), dtype=complex)
+        D = self._coords.D
+        raw = D / weight - S * (np.einsum("maa->m", D).real / weight**2)[:, None, None]
         Ud = self._U.conj().T
-        for m, D in enumerate(self._raw_derivs):
-            raw = D / weight - S * (float(D.trace().real) / weight**2)
-            out[m] = hermitize(self._U @ raw @ Ud)
-        return out
+        return np.array([hermitize(self._U @ R @ Ud) for R in raw])
 
 
 class FactorizedAnsatz(AnsatzFamily):
@@ -664,8 +618,8 @@ class FactorizedAnsatz(AnsatzFamily):
         self.rho_B = rho_B
         self._coords = _BlockCoords([list(range(dS))], dS, drop_last_diag=True)
         eyeB = np.eye(dB, dtype=complex)
-        self.relevant = RelevantSet(tuple(kron(P, eyeB) for P in self._coords.observables()))
-        self._derivs = np.array([kron(D, rho_B) for D in self._coords.derivatives()])
+        self.relevant = RelevantSet(tuple(kron(P, eyeB) for P in self._coords.P))
+        self._derivs = np.array([kron(D, rho_B) for D in self._coords.D])
 
     def state_of(self, E) -> np.ndarray:
         E = _as_params(E, self.size)

@@ -112,6 +112,16 @@ def _as_float(value, what: str) -> float:
     return out
 
 
+def _as_list(value, what: str):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _as_floats(value, what: str) -> tuple[float, ...]:
+    return tuple(_as_float(x, what) for x in _as_list(value, what))
+
+
 def _as_int(value, what: str) -> int:
     try:
         return int(value)
@@ -199,14 +209,16 @@ def build_model(section, dt: float) -> ModelBundle:
             _known_keys(section, {"omegas", "base_rates", "beta0", "shifts"}, "model")
             if "omegas" not in section or "base_rates" not in section:
                 raise ConfigError("multilevel model needs omegas and base_rates")
-            omegas = tuple(_as_float(w, "model.omegas") for w in section["omegas"])
-            rates = np.array([[_as_float(e, "model.base_rates") for e in row]
-                              for row in section["base_rates"]])
+            omegas = _as_floats(section["omegas"], "model.omegas")
+            rates = [_as_floats(row, "model.base_rates")
+                     for row in _as_list(section["base_rates"], "model.base_rates")]
+            if any(len(row) != len(rates) for row in rates):
+                raise ConfigError("model.base_rates must be a square matrix")
             shifts = section.get("shifts")
             if shifts is not None:
-                shifts = tuple(_as_float(s, "model.shifts") for s in shifts)
+                shifts = _as_floats(shifts, "model.shifts")
             params = MultilevelParams(
-                omegas=omegas, base_rates=rates,
+                omegas=omegas, base_rates=np.array(rates),
                 beta0=_as_float(section.get("beta0", 1.0), "model.beta0"), shifts=shifts,
             )
             return ModelBundle(kind, multilevel_generator(params),

@@ -92,7 +92,8 @@ def exp_general(X, cap: int = EXP_DIM_CAP) -> np.ndarray:
     Scaling-and-squaring around a truncated Taylor series: X is halved until
     its 1-norm drops below EXP_SCALE_TARGET, the series is summed to order
     EXP_SERIES_ORDER, and the result is squared back up.  Intended for
-    generator matrices of moderate dimension (n <= cap).
+    generator matrices of moderate dimension (n <= cap); a result that
+    overflows raises CapacityError.
     """
     X = require_square(X, "exponent")
     n = X.shape[0]
@@ -108,8 +109,11 @@ def exp_general(X, cap: int = EXP_DIM_CAP) -> np.ndarray:
     for k in range(1, EXP_SERIES_ORDER + 1):
         term = term @ Y / k
         out = out + term
-    for _ in range(squarings):
-        out = out @ out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            out = out @ out
+    if not np.all(np.isfinite(out)):
+        raise CapacityError(f"exponential of a matrix with 1-norm {nrm:.3e} overflows")
     return out
 
 

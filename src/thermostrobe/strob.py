@@ -58,7 +58,6 @@ class StrobConfig:
     ode_step: float | None = None
     fd_check: bool = False
     fd_step: float = 1e-5
-    step_cap: int = STEP_CAP_DEFAULT
 
     def __post_init__(self) -> None:
         for name in ("lam", "dt", "horizon", "alpha", "ode_step", "fd_step"):
@@ -87,11 +86,11 @@ class StrobConfig:
             )
         if not (self.fd_step > 0.0):
             raise ValidationError(f"fd_step must be positive, got {self.fd_step}")
-        if self.step_cap < 1:
-            raise ValidationError(f"step_cap must be at least 1, got {self.step_cap}")
 
     def n_steps(self) -> int:
-        n = round(self.horizon / self.dt)
+        steps = self.horizon / self.dt
+        _check_cap(steps)
+        n = round(steps)
         if abs(n * self.dt - self.horizon) > GRID_TOL * max(1.0, self.horizon):
             raise ValidationError(
                 f"horizon {self.horizon} is not a whole number of dt={self.dt} intervals"
@@ -112,44 +111,37 @@ class Trajectory:
         return len(self.times)
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapacityError(f"run needs {n} steps, above the cap {cap}")
+def _check_cap(steps: float) -> None:
+    if not steps <= STEP_CAP_DEFAULT:
+        raise CapacityError(f"run needs {steps:.6g} steps, above the cap {STEP_CAP_DEFAULT}")
 
 
-def _with_step_context(err: ThermostrobeError, step: int, t: float) -> ThermostrobeError:
-    err.args = (f"protocol step {step} (t = {t:.9g}): {err.args[0] if err.args else err}",)
-    return err
+def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1):
+    """Times and rows of x0 advanced over n intervals, one advance call per interval.
 
-
-def discrete_step(gen: GkslGenerator, family: AnsatzFamily, E, propagator: Propagator | None = None,
-                  cfg: StrobConfig | None = None) -> np.ndarray:
-    """One measure-evolve round: evolve state_of(E) for lam * dt, then re-extract E."""
-    if propagator is None:
-        if cfg is None:
-            raise ValidationError("discrete_step needs either a propagator or a config")
-        propagator = Propagator.build(gen, cfg.lam * cfg.dt)
-    rho = family.state_of(E)
-    return extract_params(family, propagator.apply(rho))
+    A ThermostrobeError raised while advancing gets the interval number and
+    its start time; a run of more than STEP_CAP_DEFAULT steps in all is refused.
+    """
+    _check_cap(n * substeps)
+    rows = [x0]
+    for k in range(n):
+        try:
+            rows.append(advance(rows[-1]))
+        except ThermostrobeError as err:
+            err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err.args[0] if err.args else err}",)
+            raise
+    return np.arange(n + 1) * interval, np.array(rows)
 
 
 def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
                  with_temps: bool = False) -> Trajectory:
-    """Iterate the discrete protocol for horizon / dt rounds."""
+    """Iterate the discrete protocol for horizon / dt rounds: each round evolves
+    the family state for lam * dt and re-extracts its parameters."""
     n = cfg.n_steps()
-    _check_cap(n, cfg.step_cap)
     propagator = Propagator.build(gen, cfg.lam * cfg.dt)
     kernel = _MomentKernel(gen, family)
-    E = _as_params(E0, family.size)
-    rows = [E]
-    for k in range(n):
-        try:
-            E = extract_params(family, propagator.apply(kernel.state(E)))
-        except ThermostrobeError as err:
-            raise _with_step_context(err, k, k * cfg.dt)
-        rows.append(E)
-    times = np.arange(n + 1) * cfg.dt
-    params = np.array(rows)
+    times, params = _walk(_as_params(E0, family.size), n, cfg.dt,
+                          lambda E: extract_params(family, propagator.apply(kernel.state(E))))
     temps = _temps_for(family, params) if with_temps else None
     return Trajectory(times, params, temps, meta={"protocol": "discrete", "dt": cfg.dt, "lam": cfg.lam})
 
@@ -321,35 +313,42 @@ def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
     """Classic fourth-order Runge-Kutta with step cfg.ode_step over cfg.horizon,
     recording every step."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    n = max(1, ceil(cfg.horizon / cfg.ode_step - GRID_TOL)) if cfg.horizon > 0.0 else 0
-    _check_cap(n, cfg.step_cap)
+    steps = cfg.horizon / cfg.ode_step
+    _check_cap(steps)
+    n = max(1, ceil(steps - GRID_TOL)) if cfg.horizon > 0.0 else 0
     h = cfg.horizon / n if n else 0.0
 
     def vec_rhs(y: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.asarray(rhs(y), dtype=float))
 
-    rows = [x.copy()]
-    for _ in range(n):
-        x = rk4_step(vec_rhs, x, h)
-        rows.append(x.copy())
-    times = np.arange(n + 1) * h
-    return Trajectory(times, np.array(rows), meta={"method": "rk4", "step": h})
+    times, rows = _walk(x, n, h, lambda y: rk4_step(vec_rhs, y, h))
+    return Trajectory(times, rows, meta={"method": "rk4", "step": h})
 
 
-def _sub_steps(cfg: StrobConfig) -> tuple[int, float]:
+def _ode_walk(rhs, x0: np.ndarray, cfg: StrobConfig):
+    """RK4 sampled on the dt grid, with dt / ode_step steps per interval."""
     n_sub = max(1, round(cfg.dt / cfg.ode_step))
-    return n_sub, cfg.dt / n_sub
+    h = cfg.dt / n_sub
+
+    def advance(x: np.ndarray) -> np.ndarray:
+        for _ in range(n_sub):
+            x = rk4_step(rhs, x, h)
+        return x
+
+    times, rows = _walk(x0, cfg.n_steps(), cfg.dt, advance, n_sub)
+    return times, rows, {"ode_step": h, "substeps": n_sub}
 
 
 def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, order: int = 2,
-            with_temps: bool = False, gradient_mode: str | None = None) -> Trajectory:
-    """Integrate the continuum-limit parameter velocity, sampled on the dt grid."""
+            with_temps: bool = False) -> Trajectory:
+    """Integrate the continuum-limit parameter velocity, sampled on the dt grid.
+
+    With cfg.fd_check the order-2 velocity uses the finite-difference gradient
+    W, and meta records its largest deviation from the analytic W at the
+    final point."""
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
-    n = cfg.n_steps()
-    n_sub, h = _sub_steps(cfg)
-    _check_cap(n * n_sub, cfg.step_cap)
-    mode = gradient_mode or ("fd" if cfg.fd_check else "analytic")
+    mode = "fd" if cfg.fd_check else "analytic"
     kernel = _MomentKernel(gen, family, mode, cfg.fd_step)
 
     def rhs(E: np.ndarray) -> np.ndarray:
@@ -357,27 +356,13 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
             return cfg.lam * kernel.moments(E, gradient=False)[0]
         return _second_order(cfg, *kernel.moments(E))
 
-    E = _as_params(E0, family.size)
-    rows = [E]
-    fd_dev = 0.0
-    for k in range(n):
-        try:
-            for _ in range(n_sub):
-                E = rk4_step(rhs, E, h)
-        except ThermostrobeError as err:
-            raise _with_step_context(err, k, k * cfg.dt)
-        rows.append(E)
-    if order == 2 and cfg.fd_check and mode == "fd":
-        W_fd = velocity_gradient(gen, family, E, mode="fd", fd_step=cfg.fd_step)
-        W_an = velocity_gradient(gen, family, E, mode="analytic")
-        fd_dev = float(np.max(np.abs(W_fd - W_an)))
-    times = np.arange(n + 1) * cfg.dt
-    params = np.array(rows)
+    times, params, meta = _ode_walk(rhs, _as_params(E0, family.size), cfg)
     temps = _temps_for(family, params) if with_temps else None
-    meta = {"protocol": f"ode{order}", "ode_step": h, "substeps": n_sub,
-            "gradient_mode": mode if order == 2 else "none"}
+    meta = {"protocol": f"ode{order}", **meta, "gradient_mode": mode if order == 2 else "none"}
     if cfg.fd_check and order == 2:
-        meta["fd_gradient_deviation"] = fd_dev
+        W_fd = velocity_gradient(gen, family, params[-1], mode="fd", fd_step=cfg.fd_step)
+        W_an = velocity_gradient(gen, family, params[-1], mode="analytic")
+        meta["fd_gradient_deviation"] = float(np.max(np.abs(W_fd - W_an)))
     return Trajectory(times, params, temps, meta=meta)
 
 
@@ -385,28 +370,14 @@ def run_ode_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta0: float,
                         cfg: StrobConfig) -> Trajectory:
     """Integrate the temperature form dbeta/dt for a canonical Gibbs family."""
     _require_canonical(family, "the temperature velocity")
-    n = cfg.n_steps()
-    n_sub, h = _sub_steps(cfg)
-    _check_cap(n * n_sub, cfg.step_cap)
     kernel = _MomentKernel(gen, family)
 
     def rhs(bvec: np.ndarray) -> np.ndarray:
         return np.array([kernel.temperature_velocity(float(bvec[0]), cfg)])
 
-    b = np.array([float(beta0)])
-    temps = [b.copy()]
-    for k in range(n):
-        try:
-            for _ in range(n_sub):
-                b = rk4_step(rhs, b, h)
-        except ThermostrobeError as err:
-            raise _with_step_context(err, k, k * cfg.dt)
-        temps.append(b.copy())
-    times = np.arange(n + 1) * cfg.dt
-    temps = np.array(temps)
+    times, temps, meta = _ode_walk(rhs, np.array([float(beta0)]), cfg)
     params = np.array([gibbs_expectations(family.relevant, row) for row in temps])
-    return Trajectory(times, params, temps,
-                      meta={"protocol": "ode-temperature", "ode_step": h, "substeps": n_sub})
+    return Trajectory(times, params, temps, meta={"protocol": "ode-temperature", **meta})
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,30 @@ def test_criterion_1_closed_form_rate():
           f"E_st {E_st:.16g}, beta_st {beta_st:.16g}, tau {tau:.16g}")
 
 
+def test_printed_drive_term_is_twice_the_derived_one():
+    """The closed form keeps the printed drive term 2 Omega^2 dt (omega0 - 2E);
+    on the Gibbs-canonical qubit the generic bracket (alpha/2)(<B> - W<A>)
+    reduces to Omega^2 dt (omega0 - 2E), and both the discrete protocol and
+    ode2 settle at the fixed point of that derived velocity."""
+    p = STANDARD
+    u = p.excitation_weight
+    drive = p.Omega**2 * p.dt
+    E_derived = (p.gamma * p.omega0 * u + drive * p.omega0) / (p.gamma * (1.0 + u) + 2.0 * drive)
+    assert abs(E_derived - 0.27161285151636) <= 1e-13
+    gen = qubit_generator(p)
+    fam = GibbsAnsatz.canonical(qubit_energy_observable(p))
+    cfg = StrobConfig(lam=1.0, dt=p.dt, horizon=40.0)
+    E_disc = run_discrete(gen, fam, [0.5], cfg).params[-1, 0]
+    E_ode2 = run_ode(gen, fam, [0.5], cfg, order=2).params[-1, 0]
+    gap = qubit_E_stationary(p) - E_derived
+    assert abs(E_ode2 - E_derived) <= 1e-9
+    assert abs(E_disc - E_derived) <= 1e-5
+    assert abs(gap - 2.6e-3) <= 2e-5
+    print(f"PRINTED-FORMULA GAP PASS: derived fixed point {E_derived:.14f}, ode2 off by "
+          f"{abs(E_ode2 - E_derived):.1e}, discrete by {abs(E_disc - E_derived):.1e}, "
+          f"printed closed form by {gap:.4e}")
+
+
 def test_criterion_2_zero_drive_is_unbiased():
     """Without driving the protocol relaxes exactly to the bath temperature."""
     p = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, dt=0.1, Omega=0.0)

@@ -167,6 +167,20 @@ def test_factorized_non_integer_dims_is_config_error(tmp_path, capsys):
     assert "config error: ansatz.dims must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omegas", 3),
+    ("base_rates", 2),
+    ("base_rates", [[0.0, 1.0], [0.0]]),
+    ("shifts", 3),
+], ids=["scalar-omegas", "scalar-base-rates", "ragged-base-rates", "scalar-shifts"])
+def test_multilevel_malformed_lists_are_config_errors(tmp_path, capsys, key, value):
+    sc = copy.deepcopy(MULTILEVEL_BASE)
+    sc["model"][key] = value
+    path = scenario_file(tmp_path, sc)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: model.{key} must be" in capsys.readouterr().err
+
+
 def test_simulate_complex_matrix_entries(tmp_path):
     sc = {
         "name": "cplx",

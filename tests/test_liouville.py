@@ -69,6 +69,12 @@ def test_generator_rejects_nan_rate():
             GkslGenerator(hamiltonian=H, jumps=((SIGMA_MINUS, float("nan")),), check_rates=check_rates)
 
 
+def test_propagator_refuses_overflowing_exponential():
+    gen = GkslGenerator(np.zeros((2, 2), dtype=complex), ((SIGMA_MINUS, -1e3),), check_rates=False)
+    with pytest.raises(CapacityError, match="overflows"):
+        Propagator.build(gen, 1.0)
+
+
 def test_schrodinger_traceless_and_hermitian(rng):
     gen = random_generator(rng, 4)
     rho = random_density(rng, 4)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from thermostrobe import (
     DomainError,
     GibbsAnsatz,
     MultilevelParams,
+    Propagator,
     QubitParams,
     SingularityError,
     StrobConfig,
     Trajectory,
     ValidationError,
-    discrete_step,
     extract_params,
     gibbs_expectations,
     heat_capacity,
@@ -90,8 +92,6 @@ def test_config_validation_errors():
         StrobConfig(dt=0.1, horizon=1.0, ode_step=0.2)
     with pytest.raises(ValidationError):
         StrobConfig(dt=0.1, horizon=1.0, fd_step=0.0)
-    with pytest.raises(ValidationError):
-        StrobConfig(dt=0.1, horizon=1.0, step_cap=0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -119,14 +119,8 @@ def test_discrete_step_frozen_value():
     gen = qubit_generator(STANDARD)
     fam = qubit_family()
     cfg = StrobConfig(lam=1.0, dt=0.1, horizon=0.1)
-    out = discrete_step(gen, fam, np.array([0.5]), cfg=cfg)
+    out = run_discrete(gen, fam, np.array([0.5]), cfg).params[1]
     assert out[0] == pytest.approx(0.4847252889019069, abs=1e-12)
-
-
-def test_discrete_step_needs_propagator_or_config():
-    gen = qubit_generator(STANDARD)
-    with pytest.raises(ValidationError):
-        discrete_step(gen, qubit_family(), np.array([0.5]))
 
 
 def test_run_discrete_shapes_and_grid():
@@ -144,11 +138,23 @@ def test_run_discrete_shapes_and_grid():
     assert tr.params[-1, 0] > STANDARD.equilibrium_energy
 
 
-def test_run_discrete_step_cap():
+def test_run_discrete_step_cap(monkeypatch):
     gen = qubit_generator(STANDARD)
-    cfg = StrobConfig(dt=0.1, horizon=10.0, step_cap=5)
-    with pytest.raises(CapacityError):
+    cfg = StrobConfig(dt=1e-7, horizon=10.0)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the propagator was built before the cap check")
+
+    monkeypatch.setattr(Propagator, "build", no_build)
+    with pytest.raises(CapacityError, match="cap"):
         run_discrete(gen, qubit_family(), [0.5], cfg)
+
+
+@pytest.mark.parametrize("dt, horizon", [(1e-300, 1e300), (1e-9, 1.0)],
+                         ids=["ratio-overflows", "ratio-above-cap"])
+def test_config_n_steps_refuses_oversized_grid(dt, horizon):
+    with pytest.raises(CapacityError, match="cap"):
+        StrobConfig(dt=dt, horizon=horizon).n_steps()
 
 
 def test_run_discrete_error_carries_step_context():
@@ -320,8 +326,8 @@ def test_run_ode_fd_gradient_agrees_with_analytic():
     gen = qubit_generator(DRIVEN)
     fam = qubit_family(tol=1e-13)
     cfg = StrobConfig(dt=0.1, horizon=0.5)
-    t_an = run_ode(gen, fam, [0.5], cfg, order=2, gradient_mode="analytic")
-    t_fd = run_ode(gen, fam, [0.5], cfg, order=2, gradient_mode="fd")
+    t_an = run_ode(gen, fam, [0.5], cfg, order=2)
+    t_fd = run_ode(gen, fam, [0.5], replace(cfg, fd_check=True), order=2)
     assert np.max(np.abs(t_an.params - t_fd.params)) <= 1e-8
     assert t_fd.meta["gradient_mode"] == "fd"
 
@@ -331,7 +337,7 @@ def test_run_ode_fd_check_reports_deviation():
     fam = qubit_family(tol=1e-13)
     cfg = StrobConfig(dt=0.1, horizon=0.3, fd_check=True)
     tr = run_ode(gen, fam, [0.5], cfg, order=2)
-    assert tr.meta["fd_gradient_deviation"] <= 1e-7
+    assert 0.0 < tr.meta["fd_gradient_deviation"] <= 1e-7
 
 
 def test_run_ode_temperature_matches_energy_route():

@@ -159,6 +159,7 @@ class _GibbsPoint:
     """
 
     def __init__(self, relevant: RelevantSet, beta: np.ndarray):
+        self.beta = beta
         basis = relevant.spectral_basis
         self.diagonal = basis is not None
         if self.diagonal:
@@ -291,7 +292,13 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
     monotone bisection takes over when Newton meets a singular response
     matrix, stalls, or runs out of iterations.
     """
-    relevant = _as_relevant(observables)
+    point, info = _fit_point(_as_relevant(observables), target, beta_init, tol, max_iter)
+    return (point.beta, info) if full_output else point.beta
+
+
+def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: int):
+    """fit_beta's solve, returning the Gibbs point at the fitted beta (the
+    one Newton accepted last) with the residual and iteration count."""
     target = _as_params(target, relevant.size)
     if relevant.size == 1:
         kmin, kmax, margin = _canonical_bounds(relevant)
@@ -318,7 +325,7 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
             candidate = _GibbsPoint(relevant, beta + scale * step)
             r = float(np.max(np.abs(candidate.E - target)))
             if r < best:
-                beta, point, best = beta + scale * step, candidate, r
+                beta, point, best = candidate.beta, candidate, r
                 break
             scale *= 0.5
         else:
@@ -327,11 +334,9 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
     if best > tol:
         if relevant.size > 1:
             raise FitError(f"{failure}, residual {best:.3e}")
-        beta = np.array([_bisect_beta(relevant, float(target[0]), tol)])
-        best = float(abs(gibbs_expectations(relevant, beta)[0] - target[0]))
-    if full_output:
-        return beta, {"residual": best, "iterations": iterations}
-    return beta
+        point = _GibbsPoint(relevant, np.array([_bisect_beta(relevant, float(target[0]), tol)]))
+        best = float(abs(point.E[0] - target[0]))
+    return point, {"residual": best, "iterations": iterations}
 
 
 def qubit_beta_closed_form(E: float, omega0: float) -> float:
@@ -429,9 +434,15 @@ class GibbsAnsatz(AnsatzFamily):
         return cls((hamiltonian,), **kwargs)
 
     def beta_of(self, E, beta_init=None) -> np.ndarray:
+        return self._fit(fit_beta, E, beta_init)
+
+    def point_of(self, E, beta_init=None) -> _GibbsPoint:
+        """The Gibbs point at the fitted exponents, as the fit left it."""
+        return self._fit(_fit_point, E, beta_init)[0]
+
+    def _fit(self, solve, E, beta_init):
         try:
-            return fit_beta(self.relevant, E, beta_init=beta_init, tol=self.fit_tol,
-                            max_iter=self.fit_max_iter)
+            return solve(self.relevant, E, beta_init, self.fit_tol, self.fit_max_iter)
         except FitError as err:
             raise DomainError(f"parameters appear infeasible for the Gibbs family: {err}") from err
 
@@ -442,7 +453,7 @@ class GibbsAnsatz(AnsatzFamily):
         return self.derivative_from_beta(self.beta_of(E))
 
     def state_and_derivative(self, E) -> tuple[np.ndarray, np.ndarray]:
-        point = _GibbsPoint(self.relevant, self.beta_of(E))
+        point = self.point_of(E)
         return point.state(), point.derivative()
 
     def derivative_from_beta(self, beta) -> np.ndarray:
@@ -508,32 +519,56 @@ def _block_psd_check(S: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} lies outside the feasible domain: eigenvalue {wmin:.3e} < 0")
 
 
-class PinchingAnsatz(AnsatzFamily):
-    """Linear family keeping the diagonal blocks of a reference observable's eigenbasis."""
+class _LinearAnsatz(AnsatzFamily):
+    """Linear family state_of(E) = embed(S(E)): S(E) is the _BlockCoords matrix at
+    unit trace, required positive semidefinite, and embed is a fixed linear map,
+    so state_of(E) = R0 + sum_j E_j D_j on the feasible domain (affine_parts).
+    """
 
     is_linear = True
+    _domain: str  # named in the DomainError of an infeasible E
+
+    @abstractmethod
+    def _embed(self, S: np.ndarray) -> np.ndarray:
+        """The full-space operator of a block-coordinate matrix S."""
+
+    def feasible_block(self, E) -> np.ndarray:
+        """The block-coordinate matrix S(E); DomainError when it is not PSD."""
+        S = self._coords.assemble(_as_params(E, self.size), trace=1.0)
+        _block_psd_check(S, self._domain)
+        return S
+
+    @cached_property
+    def affine_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R0, D) with state_of(E) = R0 + sum_j E_j D_j; D_j = d state_of / d E_j."""
+        R0 = self._embed(self._coords.assemble(np.zeros(self.size), trace=1.0))
+        return R0, np.array([self._embed(D) for D in self._coords.D])
+
+    def derivative_of(self, E) -> np.ndarray:
+        _as_params(E, self.size)
+        return self.affine_parts[1].copy()
+
+
+class PinchingAnsatz(_LinearAnsatz):
+    """Linear family keeping the diagonal blocks of a reference observable's eigenbasis."""
+
     label = "pinching"
+    _domain = "pinching parameter vector"
 
     def __init__(self, X):
         X = require_hermitian(X, name="pinched observable")
         w, U = herm_eig(X)
         self._U = U
         self._blocks = _cluster_eigenvalues(w)
-        d = X.shape[0]
-        self._coords = _BlockCoords(self._blocks, d, drop_last_diag=True)
-        Ud = U.conj().T
-        self.relevant = RelevantSet(tuple(hermitize(U @ P @ Ud) for P in self._coords.P))
-        self._derivs = np.array([hermitize(U @ D @ Ud) for D in self._coords.D])
+        self._coords = _BlockCoords(self._blocks, X.shape[0], drop_last_diag=True)
+        self.relevant = RelevantSet(tuple(self._embed(P) for P in self._coords.P))
 
-    def state_of(self, E) -> np.ndarray:
-        E = _as_params(E, self.size)
-        S = self._coords.assemble(E, trace=1.0)
-        _block_psd_check(S, "pinching parameter vector")
+    def _embed(self, S: np.ndarray) -> np.ndarray:
         return hermitize(self._U @ S @ self._U.conj().T)
 
-    def derivative_of(self, E) -> np.ndarray:
-        _as_params(E, self.size)
-        return self._derivs.copy()
+    # state_of is defined on each linear family class: perfbench/tracer.py wraps it there
+    def state_of(self, E) -> np.ndarray:
+        return self._embed(self.feasible_block(E))
 
     def project(self, M) -> np.ndarray:
         """The linear pinching map itself, defined on arbitrary operators."""
@@ -601,11 +636,11 @@ class SelectiveAnsatz(AnsatzFamily):
         return np.array([hermitize(self._U @ R @ Ud) for R in raw])
 
 
-class FactorizedAnsatz(AnsatzFamily):
+class FactorizedAnsatz(_LinearAnsatz):
     """Linear family rho_S x rho_B with a fixed bath factor."""
 
-    is_linear = True
     label = "factorized"
+    _domain = "factorized system parameter vector"
 
     def __init__(self, rho_B, dims: tuple[int, int]):
         dS, dB = int(dims[0]), int(dims[1])
@@ -619,17 +654,12 @@ class FactorizedAnsatz(AnsatzFamily):
         self._coords = _BlockCoords([list(range(dS))], dS, drop_last_diag=True)
         eyeB = np.eye(dB, dtype=complex)
         self.relevant = RelevantSet(tuple(kron(P, eyeB) for P in self._coords.P))
-        self._derivs = np.array([kron(D, rho_B) for D in self._coords.D])
 
-    def state_of(self, E) -> np.ndarray:
-        E = _as_params(E, self.size)
-        S = self._coords.assemble(E, trace=1.0)
-        _block_psd_check(S, "factorized system parameter vector")
+    def _embed(self, S: np.ndarray) -> np.ndarray:
         return kron(hermitize(S), self.rho_B)
 
-    def derivative_of(self, E) -> np.ndarray:
-        _as_params(E, self.size)
-        return self._derivs.copy()
+    def state_of(self, E) -> np.ndarray:
+        return self._embed(self.feasible_block(E))
 
     def project(self, M) -> np.ndarray:
         """The linear factorization map Tr_B(M) x rho_B on arbitrary operators."""

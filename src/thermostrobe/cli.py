@@ -151,7 +151,7 @@ def _parse_matrix(obj, what: str) -> np.ndarray:
 def load_scenario(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as err:
         raise ConfigError(f"cannot read scenario file: {err}") from err
     except yaml.YAMLError as err:

@@ -26,6 +26,7 @@ from .ansatz import (
     _as_params,
     _as_relevant,
     _GibbsPoint,
+    _LinearAnsatz,
     _rotate,
     extract_params,
     gibbs_expectations,
@@ -79,7 +80,10 @@ class StrobConfig:
             )
         if self.ode_step is None:
             target = min(self.dt / 10.0, 1e-2)
-            object.__setattr__(self, "ode_step", self.dt / ceil(self.dt / target - GRID_TOL))
+            steps = self.dt / target
+            if not isfinite(steps):
+                raise CapacityError(f"dt {self.dt} needs {steps} default ode steps per interval")
+            object.__setattr__(self, "ode_step", self.dt / ceil(steps - GRID_TOL))
         elif not (0.0 < self.ode_step <= self.dt + GRID_TOL):
             raise ValidationError(
                 f"ode_step {self.ode_step} must lie in (0, dt={self.dt}]"
@@ -171,6 +175,9 @@ class _MomentKernel:
     from the previous point.  When the Gibbs observables commute every state
     is diagonal in their common eigenbasis U, so only the vectors
     diag(U^dag A_m U) and diag(U^dag B_m U) enter and no d x d matrix is formed.
+    A linear family's state is R0 + sum_j E_j D_j, so the moments are affine
+    in E: the images are paired with R0 and D once, and each point only checks
+    feasibility and reads the table (W is its constant slope).
     """
 
     def __init__(self, gen: GkslGenerator, family: AnsatzFamily, gradient_mode: str = "analytic",
@@ -182,6 +189,7 @@ class _MomentKernel:
         self.mode = gradient_mode
         self.fd_step = fd_step
         self._gibbs = isinstance(family, GibbsAnsatz)
+        self._linear = isinstance(family, _LinearAnsatz)
         self._beta = None
 
     @cached_property
@@ -192,9 +200,17 @@ class _MomentKernel:
         basis = self.family.relevant.spectral_basis if self._gibbs else None
         return images if basis is None else _rotate(basis[0], images, diagonal=True)
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Offset and slope of the affine moments (<A>, <B>) = offset + slope @ E of a linear family."""
+        R0, D = self.family.affine_parts
+        T = np.einsum("kab,jab->kj", self._images.conj(), np.concatenate([R0[None], D])).real
+        return T[:, 0].copy(), T[:, 1:].copy()
+
     def _point(self, E: np.ndarray) -> _GibbsPoint:
-        self._beta = self.family.beta_of(E, beta_init=self._beta)
-        return _GibbsPoint(self.family.relevant, self._beta)
+        point = self.family.point_of(E, beta_init=self._beta)
+        self._beta = point.beta
+        return point
 
     def state(self, E: np.ndarray) -> np.ndarray:
         return self._point(E).state() if self._gibbs else self.family.state_of(E)
@@ -214,6 +230,11 @@ class _MomentKernel:
         analytic = gradient and self.mode == "analytic"
         if self._gibbs:
             a, b, W = self.at_point(self._point(E), analytic)
+        elif self._linear:
+            self.family.feasible_block(E)
+            offset, slope = self._table
+            ab = offset + slope @ E
+            a, b, W = ab[:M], ab[M:], slope[:M] if analytic else None
         else:
             if analytic:
                 rho, derivs = self.family.state_and_derivative(E)

@@ -216,6 +216,15 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["name: [unclosed\n", "a: 1\n  b: 2\n", "key: @bad\n"],
+                         ids=["unclosed-flow", "bad-indent", "reserved-char"])
+def test_malformed_yaml_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "broken.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: scenario file is not valid YAML" in capsys.readouterr().err
+
+
 def test_bad_scenario_name(tmp_path):
     sc = variant(QUBIT_BASE, name="a/b")
     path = scenario_file(tmp_path, sc)

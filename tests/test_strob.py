@@ -157,6 +157,11 @@ def test_config_n_steps_refuses_oversized_grid(dt, horizon):
         StrobConfig(dt=dt, horizon=horizon).n_steps()
 
 
+def test_config_default_ode_step_refuses_overflowing_dt():
+    with pytest.raises(CapacityError, match="ode steps"):
+        StrobConfig(dt=1e308, horizon=0.0)
+
+
 def test_run_discrete_error_carries_step_context():
     gen = qubit_generator(STANDARD)
     cfg = StrobConfig(dt=0.1, horizon=1.0)

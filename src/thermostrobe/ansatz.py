@@ -14,6 +14,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import hypot
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .matcore import (
     hermitize,
     kron,
     partial_trace,
+    require_finite,
     require_hermitian,
     require_square,
     scale_of,
@@ -61,7 +63,8 @@ class RelevantSet:
     gram_condition: float = field(init=False)
 
     def __post_init__(self) -> None:
-        obs = tuple(require_hermitian(P, name=f"observable {m}") for m, P in enumerate(self.observables))
+        obs = tuple(require_finite(require_hermitian(P, name=f"observable {m}"), f"observable {m}")
+                    for m, P in enumerate(self.observables))
         if not obs:
             raise ValidationError("a relevant set needs at least one observable")
         d = obs[0].shape[0]
@@ -155,20 +158,27 @@ class _GibbsPoint:
     diagonalized once here.  Operators enter rotated into U (see _rotate):
     as diagonals in the commuting case, as full matrices otherwise.  The
     spectrum k is shifted to start at 0, with Z and the populations q taken
-    from the shifted weights.
+    from the shifted weights.  A non-finite beta, or exponents so large that
+    the shifted spectrum overflows, raise DomainError.
     """
 
     def __init__(self, relevant: RelevantSet, beta: np.ndarray):
         self.beta = beta
         basis = relevant.spectral_basis
         self.diagonal = basis is not None
-        if self.diagonal:
-            self.U, self.P = basis
-            k = beta @ self.P
-        else:
-            k, self.U = np.linalg.eigh(hermitize(np.tensordot(beta, relevant.stack, axes=1)))
-            self.P = _rotate(self.U, relevant.stack, diagonal=False)
-        self.k = k - k.min()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.diagonal:
+                self.U, self.P = basis
+                k = beta @ self.P
+            else:
+                K = np.tensordot(beta, relevant.stack, axes=1)
+                require_finite(K, "exponent operator (beta, P)", DomainError)
+                k, self.U = np.linalg.eigh(hermitize(K))
+                self.P = _rotate(self.U, relevant.stack, diagonal=False)
+            k = k - k.min()
+        if not np.isfinite(k).all():  # also every non-finite beta
+            raise DomainError(f"Gibbs exponents {beta} give a non-finite spectrum of (beta, P)")
+        self.k = k
         weights = np.exp(-self.k)
         self.Z = float(weights.sum())
         self.q = weights / self.Z
@@ -194,12 +204,27 @@ class _GibbsPoint:
         return 0.5 * (J + J.T)
 
     def response_inverse(self) -> np.ndarray:
+        """J^-1, refused when the smallest |eigenvalue| of J is at most
+        JACOBIAN_RCOND times the largest; closed forms for M <= 2."""
         J = self.jacobian
-        svals = np.linalg.svd(J, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] <= JACOBIAN_RCOND * svals[0]:
+        if len(J) == 1:
+            small = large = abs(J[0, 0])
+        elif len(J) == 2:
+            a, b, c = J[0, 0], J[0, 1], J[1, 1]
+            mean, radius = 0.5 * abs(a + c), hypot(0.5 * (a - c), b)
+            small, large = abs(mean - radius), mean + radius
+        else:
+            svals = np.linalg.svd(J, compute_uv=False)
+            small, large = svals[-1], svals[0]
+        if not small > JACOBIAN_RCOND * large:
             raise DegenerateAnsatzError(
-                f"Gibbs response matrix is numerically singular (singular values {svals})"
+                f"Gibbs response matrix is numerically singular (|eigenvalues| from {small:.3e} "
+                f"to {large:.3e}) at beta = {self.beta}"
             )
+        if len(J) == 1:
+            return 1.0 / J
+        if len(J) == 2:
+            return np.array([[c, -b], [-b, a]]) / (a * c - b * b)
         return np.linalg.inv(J)
 
     def state(self) -> np.ndarray:
@@ -299,7 +324,7 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
 def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: int):
     """fit_beta's solve, returning the Gibbs point at the fitted beta (the
     one Newton accepted last) with the residual and iteration count."""
-    target = _as_params(target, relevant.size)
+    target = require_finite(_as_params(target, relevant.size), "fit target", DomainError)
     if relevant.size == 1:
         kmin, kmax, margin = _canonical_bounds(relevant)
         if not (kmin + margin < target[0] < kmax - margin):
@@ -331,7 +356,7 @@ def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: i
         else:
             failure = f"damped Newton stalled after {iterations} iterations"
             break
-    if best > tol:
+    if not best <= tol:
         if relevant.size > 1:
             raise FitError(f"{failure}, residual {best:.3e}")
         point = _GibbsPoint(relevant, np.array([_bisect_beta(relevant, float(target[0]), tol)]))
@@ -380,10 +405,6 @@ class AnsatzFamily(ABC):
     @abstractmethod
     def derivative_of(self, E) -> np.ndarray:
         """Stack of parameter derivatives d state_of / d E_j, shape (M, d, d)."""
-
-    def state_and_derivative(self, E) -> tuple[np.ndarray, np.ndarray]:
-        """state_of and derivative_of together; overridden where one fit serves both."""
-        return self.state_of(E), self.derivative_of(E)
 
     def feasible(self, E) -> bool:
         try:
@@ -451,10 +472,6 @@ class GibbsAnsatz(AnsatzFamily):
 
     def derivative_of(self, E) -> np.ndarray:
         return self.derivative_from_beta(self.beta_of(E))
-
-    def state_and_derivative(self, E) -> tuple[np.ndarray, np.ndarray]:
-        point = self.point_of(E)
-        return point.state(), point.derivative()
 
     def derivative_from_beta(self, beta) -> np.ndarray:
         """Parameter derivatives via the chain rule through the fitted exponents."""
@@ -556,7 +573,7 @@ class PinchingAnsatz(_LinearAnsatz):
     _domain = "pinching parameter vector"
 
     def __init__(self, X):
-        X = require_hermitian(X, name="pinched observable")
+        X = require_finite(require_hermitian(X, name="pinched observable"), "pinched observable")
         w, U = herm_eig(X)
         self._U = U
         self._blocks = _cluster_eigenvalues(w)
@@ -593,7 +610,7 @@ class SelectiveAnsatz(AnsatzFamily):
     label = "selective"
 
     def __init__(self, X, eigenvalue: float):
-        X = require_hermitian(X, name="measured observable")
+        X = require_finite(require_hermitian(X, name="measured observable"), "measured observable")
         w, U = herm_eig(X)
         blocks = _cluster_eigenvalues(w)
         tol = EIG_CLUSTER_TOL * (1.0 + float(np.max(np.abs(w))))
@@ -646,7 +663,7 @@ class FactorizedAnsatz(_LinearAnsatz):
         dS, dB = int(dims[0]), int(dims[1])
         if dS < 2 or dB < 1:
             raise ValidationError(f"factorized dims {dims} must have a nontrivial system factor")
-        rho_B = require_density(rho_B, name="bath state")
+        rho_B = require_density(require_finite(rho_B, "bath state"), name="bath state")
         if rho_B.shape[0] != dB:
             raise ValidationError(f"bath state dimension {rho_B.shape[0]} does not match dims {dims}")
         self.dims = (dS, dB)

@@ -25,12 +25,12 @@ class FitError(ThermostrobeError, RuntimeError):
     """An iterative solve did not reach the requested residual."""
 
 
-class DegenerateAnsatzError(ThermostrobeError):
-    """The ansatz response matrix is singular; parameter derivatives are undefined."""
-
-
 class SingularityError(ThermostrobeError):
     """A required denominator (e.g. heat capacity) vanished."""
+
+
+class DegenerateAnsatzError(SingularityError):
+    """The ansatz response matrix is singular; parameter derivatives are undefined."""
 
 
 class ContractError(ThermostrobeError, TypeError):

@@ -22,6 +22,7 @@ from .matcore import (
     EXP_DIM_CAP,
     exp_general,
     hermitize,
+    require_finite,
     require_hermitian,
     require_same_shape,
     require_square,
@@ -59,10 +60,10 @@ class GkslGenerator:
     check_rates: InitVar[bool] = True
 
     def __post_init__(self, check_rates: bool) -> None:
-        H = require_hermitian(self.hamiltonian, name="hamiltonian")
+        H = require_finite(require_hermitian(self.hamiltonian, name="hamiltonian"), "hamiltonian")
         cleaned = []
         for op, rate in self.jumps:
-            op = require_square(op, "jump operator")
+            op = require_finite(require_square(op, "jump operator"), "jump operator")
             require_same_shape(H, op, "hamiltonian and jump operator")
             rate = float(rate)
             if not np.isfinite(rate):

@@ -43,6 +43,14 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def require_finite(x, name: str = "value", error: type = ValidationError) -> np.ndarray:
+    """x as an array, refused with error when any entry is NaN or infinite."""
+    x = np.asarray(x)
+    if not np.isfinite(x).all():
+        raise error(f"non-finite entries in {name}")
+    return x
+
+
 def require_same_shape(A: np.ndarray, B: np.ndarray, what: str = "operands") -> None:
     if A.shape != B.shape:
         raise ValidationError(f"{what} have mismatched shapes {A.shape} vs {B.shape}")
@@ -99,8 +107,7 @@ def exp_general(X, cap: int = EXP_DIM_CAP) -> np.ndarray:
     n = X.shape[0]
     if n > cap:
         raise CapacityError(f"matrix dimension {n} exceeds the exponential cap {cap}")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("exponent contains non-finite entries")
+    require_finite(X, "exponent")
     nrm = np.linalg.norm(X, 1)
     squarings = int(np.ceil(np.log2(nrm / EXP_SCALE_TARGET))) if nrm > EXP_SCALE_TARGET else 0
     Y = X / (2.0 ** squarings)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .liouville import GkslGenerator
-from .matcore import SIGMA_MINUS, SIGMA_PLUS
+from .matcore import SIGMA_MINUS, SIGMA_PLUS, require_finite
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class QubitParams:
     delta_omega: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite([self.omega0, self.gamma, self.beta0, self.dt, self.Omega, self.delta_omega],
+                       "qubit parameters")
         if self.omega0 <= 0.0:
             raise ValidationError(f"omega0 must be positive, got {self.omega0}")
         if self.gamma < 0.0:

@@ -10,6 +10,12 @@ fixed, the parameter trajectory follows
 with A_m the Heisenberg image of P_m under the generator and B_m the
 Heisenberg image of A_m.  The correction bracket vanishes whenever the span
 of {I, P_1, ..., P_M} is invariant under the adjoint generator.
+
+For a Gibbs family E = E(beta) is the mean-parameter side of an exponential
+family, so the same flow is integrated in its natural coordinates,
+dbeta/dt = J(beta)^-1 dE/dt with the response matrix J = dE/dbeta: every
+quantity then comes from the Gibbs point at the integrated beta, and the
+map E -> beta is solved only once, for the initial point.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .ansatz import (
     _LinearAnsatz,
     _rotate,
     extract_params,
-    gibbs_expectations,
     gibbs_jacobian,
 )
 from .errors import (
@@ -146,20 +151,17 @@ def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
     kernel = _MomentKernel(gen, family)
     times, params = _walk(_as_params(E0, family.size), n, cfg.dt,
                           lambda E: extract_params(family, propagator.apply(kernel.state(E))))
-    temps = _temps_for(family, params) if with_temps else None
+    temps = _temps_for(kernel, params) if with_temps else None
     return Trajectory(times, params, temps, meta={"protocol": "discrete", "dt": cfg.dt, "lam": cfg.lam})
 
 
-def _temps_for(family: AnsatzFamily, params: np.ndarray) -> np.ndarray | None:
-    """Fitted Gibbs exponents of every row, each fit warm-started from the previous row."""
-    if not isinstance(family, GibbsAnsatz):
+def _temps_for(kernel: _MomentKernel, params: np.ndarray) -> np.ndarray | None:
+    """Gibbs exponents of a discrete run's rows: the fit the walk made for each
+    row it advanced, plus one warm fit for the final row; None for other families."""
+    if not kernel._gibbs:
         return None
-    temps = []
-    beta = None
-    for row in params:
-        beta = family.beta_of(row, beta_init=beta)
-        temps.append(beta)
-    return np.array(temps)
+    kernel._point(params[-1])
+    return np.array(kernel.fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,9 @@ class _MomentKernel:
     At a point it returns the first moments <A_m>, the second moments <B_m>
     and the velocity gradient W_mj = d<A_m>/dE_j, with the Heisenberg images
     A_m = L*(P_m) and B_m = L*(A_m) built once.  Gibbs fits are warm-started
-    from the previous point.  When the Gibbs observables commute every state
+    from the previous fit, and their exponents are kept in order in fitted.
+    At a Gibbs point the gradient is taken in beta, G = d<A>/dbeta, and
+    W = G J^-1.  When the Gibbs observables commute every state
     is diagonal in their common eigenbasis U, so only the vectors
     diag(U^dag A_m U) and diag(U^dag B_m U) enter and no d x d matrix is formed.
     A linear family's state is R0 + sum_j E_j D_j, so the moments are affine
@@ -190,7 +194,7 @@ class _MomentKernel:
         self.fd_step = fd_step
         self._gibbs = isinstance(family, GibbsAnsatz)
         self._linear = isinstance(family, _LinearAnsatz)
-        self._beta = None
+        self.fitted: list[np.ndarray] = []
 
     @cached_property
     def _images(self) -> np.ndarray:
@@ -208,58 +212,69 @@ class _MomentKernel:
         return T[:, 0].copy(), T[:, 1:].copy()
 
     def _point(self, E: np.ndarray) -> _GibbsPoint:
-        point = self.family.point_of(E, beta_init=self._beta)
-        self._beta = point.beta
+        """The Gibbs point fitted to E, warm-started from the previous fit."""
+        point = self.family.point_of(E, beta_init=self.fitted[-1] if self.fitted else None)
+        self.fitted.append(point.beta)
         return point
 
     def state(self, E: np.ndarray) -> np.ndarray:
         return self._point(E).state() if self._gibbs else self.family.state_of(E)
 
-    def at_point(self, point: _GibbsPoint, gradient: bool = True):
-        """(<A>, <B>, W) at a Gibbs point; W is None without gradient."""
+    def gibbs_moments(self, point: _GibbsPoint, gradient: bool = True):
+        """(<A>, <B>, G) at a Gibbs point, G_mn = d<A_m>/dbeta_n; G is None without gradient."""
         M = self.family.size
         X = self._images if point.diagonal else _rotate(point.U, self._images, diagonal=False)
         ab = point.expect(X)
-        W = point.expect_derivative(X[:M]) @ point.response_inverse() if gradient else None
-        return ab[:M], ab[M:], W
+        if not gradient:
+            G = None
+        elif self.mode == "analytic":
+            G = point.expect_derivative(X[:M])
+        else:
+            relevant = self.family.relevant
+            G = _central_difference(lambda beta: self.gibbs_moments(_GibbsPoint(relevant, beta), False)[0],
+                                    point.beta, self.fd_step)
+        return ab[:M], ab[M:], G
+
+    def beta_velocity(self, point: _GibbsPoint, order: int, cfg: StrobConfig) -> np.ndarray:
+        """dbeta/dt = J^-1 dE/dt at a Gibbs point, with one J^-1 shared by dbeta and W = G J^-1."""
+        a, b, G = self.gibbs_moments(point, order == 2)
+        J_inv = point.response_inverse()
+        dE = cfg.lam * a if order == 1 else _second_order(cfg, a, b, G @ J_inv)
+        return J_inv @ dE
 
     def moments(self, E, gradient: bool = True):
         """(<A>, <B>, W) at parameters E; W is None without gradient."""
         M = self.family.size
         E = _as_params(E, M)
-        analytic = gradient and self.mode == "analytic"
         if self._gibbs:
-            a, b, W = self.at_point(self._point(E), analytic)
-        elif self._linear:
+            point = self._point(E)
+            a, b, G = self.gibbs_moments(point, gradient)
+            return a, b, G @ point.response_inverse() if gradient else None
+        analytic = gradient and self.mode == "analytic"
+        if self._linear:
             self.family.feasible_block(E)
             offset, slope = self._table
             ab = offset + slope @ E
             a, b, W = ab[:M], ab[M:], slope[:M] if analytic else None
         else:
-            if analytic:
-                rho, derivs = self.family.state_and_derivative(E)
-                W = np.einsum("mab,jab->mj", self._images[:M].conj(), derivs).real
-            else:
-                rho, W = self.family.state_of(E), None
+            rho = self.family.state_of(E)
+            W = np.einsum("mab,jab->mj", self._images[:M].conj(),
+                          self.family.derivative_of(E)).real if analytic else None
             ab = np.einsum("mab,ab->m", self._images.conj(), rho).real
             a, b = ab[:M], ab[M:]
         if gradient and self.mode == "fd":
-            W = np.empty((M, M))
-            for j in range(M):
-                bump = np.zeros(M)
-                bump[j] = self.fd_step
-                W[:, j] = (self.moments(E + bump, False)[0]
-                           - self.moments(E - bump, False)[0]) / (2.0 * self.fd_step)
+            W = _central_difference(lambda x: self.moments(x, False)[0], E, self.fd_step)
         return a, b, W
 
-    def temperature_velocity(self, beta: float, cfg: StrobConfig) -> float:
-        """dbeta/dt = -(beta^2 / C) dE/dt at a known inverse temperature: nothing is fitted."""
-        point = _GibbsPoint(self.family.relevant, np.array([beta]))
-        dE = _second_order(cfg, *self.at_point(point))[0]
-        C = _capacity(beta, point.jacobian[0, 0])
-        if C < 1e-15 * (1.0 + beta * beta):
-            raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
-        return dE * (-(beta * beta) / C)
+
+def _central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
+    """Matrix whose column j is (f(x + h e_j) - f(x - h e_j)) / 2h."""
+    cols = []
+    for j in range(len(x)):
+        bump = np.zeros(len(x))
+        bump[j] = h
+        cols.append((f(x + bump) - f(x - bump)) / (2.0 * h))
+    return np.array(cols).T
 
 
 def _second_order(cfg: StrobConfig, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -313,9 +328,19 @@ def heat_capacity(family: GibbsAnsatz, beta: float) -> float:
 
 
 def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cfg: StrobConfig) -> float:
-    """Temperature form of the second-order velocity, dbeta/dt = -(beta^2 / C) dE/dt."""
+    """Temperature form of the second-order velocity, dbeta/dt = -(beta^2 / C) dE/dt.
+
+    With C = -beta^2 J this is the natural-coordinate velocity J^-1 dE/dt that
+    run_ode_temperature integrates; in this form it is singular at beta = 0,
+    where C vanishes while J stays finite, and a vanishing C raises
+    SingularityError."""
     _require_canonical(family, "the temperature velocity")
-    return _MomentKernel(gen, family).temperature_velocity(float(beta), cfg)
+    beta = float(beta)
+    point = _GibbsPoint(family.relevant, np.array([beta]))
+    C = _capacity(beta, point.jacobian[0, 0])
+    if C < 1e-15 * (1.0 + beta * beta):
+        raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
+    return float(_MomentKernel(gen, family).beta_velocity(point, 2, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +385,20 @@ def _ode_walk(rhs, x0: np.ndarray, cfg: StrobConfig):
     return times, rows, {"ode_step": h, "substeps": n_sub}
 
 
+def _gibbs_walk(kernel: _MomentKernel, beta0: np.ndarray, order: int, cfg: StrobConfig):
+    """Times, E rows, beta rows and meta of dbeta/dt = J^-1 dE/dt integrated from beta0."""
+    relevant = kernel.family.relevant
+    times, temps, meta = _ode_walk(
+        lambda beta: kernel.beta_velocity(_GibbsPoint(relevant, beta), order, cfg), beta0, cfg)
+    return times, np.array([_GibbsPoint(relevant, beta).E for beta in temps]), temps, meta
+
+
 def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, order: int = 2,
             with_temps: bool = False) -> Trajectory:
     """Integrate the continuum-limit parameter velocity, sampled on the dt grid.
 
+    A Gibbs family is integrated in beta from the one fit of E0 (the first
+    row stays E0, the others are E(beta)); other families are integrated in E.
     With cfg.fd_check the order-2 velocity uses the finite-difference gradient
     W, and meta records its largest deviation from the analytic W at the
     final point."""
@@ -371,33 +406,32 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
         raise ValidationError(f"order must be 1 or 2, got {order}")
     mode = "fd" if cfg.fd_check else "analytic"
     kernel = _MomentKernel(gen, family, mode, cfg.fd_step)
+    E0 = _as_params(E0, family.size)
+    if kernel._gibbs:
+        times, params, temps, meta = _gibbs_walk(kernel, kernel._point(E0).beta, order, cfg)
+        params[0] = E0
+    else:
+        def rhs(E: np.ndarray) -> np.ndarray:
+            if order == 1:
+                return cfg.lam * kernel.moments(E, gradient=False)[0]
+            return _second_order(cfg, *kernel.moments(E))
 
-    def rhs(E: np.ndarray) -> np.ndarray:
-        if order == 1:
-            return cfg.lam * kernel.moments(E, gradient=False)[0]
-        return _second_order(cfg, *kernel.moments(E))
-
-    times, params, meta = _ode_walk(rhs, _as_params(E0, family.size), cfg)
-    temps = _temps_for(family, params) if with_temps else None
+        times, params, meta = _ode_walk(rhs, E0, cfg)
+        temps = None
     meta = {"protocol": f"ode{order}", **meta, "gradient_mode": mode if order == 2 else "none"}
     if cfg.fd_check and order == 2:
         W_fd = velocity_gradient(gen, family, params[-1], mode="fd", fd_step=cfg.fd_step)
         W_an = velocity_gradient(gen, family, params[-1], mode="analytic")
         meta["fd_gradient_deviation"] = float(np.max(np.abs(W_fd - W_an)))
-    return Trajectory(times, params, temps, meta=meta)
+    return Trajectory(times, params, temps if with_temps else None, meta=meta)
 
 
 def run_ode_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta0: float,
                         cfg: StrobConfig) -> Trajectory:
-    """Integrate the temperature form dbeta/dt for a canonical Gibbs family."""
+    """Integrate the second-order velocity in beta for a canonical Gibbs family,
+    from a given inverse temperature: run_ode's Gibbs route without the fit."""
     _require_canonical(family, "the temperature velocity")
-    kernel = _MomentKernel(gen, family)
-
-    def rhs(bvec: np.ndarray) -> np.ndarray:
-        return np.array([kernel.temperature_velocity(float(bvec[0]), cfg)])
-
-    times, temps, meta = _ode_walk(rhs, np.array([float(beta0)]), cfg)
-    params = np.array([gibbs_expectations(family.relevant, row) for row in temps])
+    times, params, temps, meta = _gibbs_walk(_MomentKernel(gen, family), np.array([float(beta0)]), 2, cfg)
     return Trajectory(times, params, temps, meta={"protocol": "ode-temperature", **meta})
 
 

@@ -61,6 +61,11 @@ def test_relevant_set_rejects_dependent_observables():
         RelevantSet((SIGMA_Z, 2.0 * SIGMA_Z))
 
 
+def test_relevant_set_rejects_non_finite_observable():
+    with pytest.raises(ValidationError, match="non-finite entries in observable 0"):
+        RelevantSet((np.diag([np.nan, 0.0]).astype(complex),))
+
+
 def test_relevant_set_rejects_mixed_dimensions(rng):
     with pytest.raises(ValidationError):
         RelevantSet((random_hermitian(rng, 2), random_hermitian(rng, 3)))
@@ -79,6 +84,15 @@ def test_gibbs_state_qubit_equilibrium_population():
 def test_gibbs_state_at_zero_exponent_is_maximally_mixed(rng):
     P = random_hermitian(rng, 4)
     assert np.allclose(gibbs_state((P,), [0.0]), np.eye(4) / 4, atol=1e-14)
+
+
+@pytest.mark.parametrize("beta, compute", [
+    (np.inf, gibbs_state), (np.nan, gibbs_state), (1e308, gibbs_expectations),
+], ids=["state-inf", "state-nan", "expectations-overflow"])
+def test_gibbs_point_rejects_non_finite_spectrum(beta, compute):
+    for obs in ((SIGMA_Z,), (SIGMA_Z, SIGMA_X)):  # spectral and dense paths
+        with pytest.raises(DomainError, match="non-finite"):
+            compute(obs, [beta] * len(obs))
 
 
 def test_gibbs_state_matches_scipy(rng):
@@ -193,6 +207,13 @@ def test_fit_beta_full_output_and_warm_start():
     assert warm[0] == pytest.approx(beta[0], abs=1e-11)
 
 
+def test_fit_beta_rejects_non_finite_start_and_target():
+    with pytest.raises(DomainError, match="non-finite"):
+        fit_beta([SIGMA_Z], [0.2], beta_init=[np.nan])
+    with pytest.raises(DomainError, match="non-finite entries in fit target"):
+        fit_beta([SIGMA_Z, SIGMA_X], [np.nan, 0.1])
+
+
 def test_fit_beta_validates_target_shape():
     with pytest.raises(ValidationError):
         fit_beta((N_OP,), [0.3, 0.4])
@@ -265,7 +286,8 @@ def test_gibbs_ansatz_differentiated_consistency():
 def test_gibbs_ansatz_state_and_derivative_single_fit():
     fam = GibbsAnsatz.canonical(N_OP)
     E = np.array([0.4])
-    rho, D = fam.state_and_derivative(E)
+    point = fam.point_of(E)
+    rho, D = point.state(), point.derivative()
     assert np.allclose(rho, fam.state_of(E), atol=1e-12)
     assert np.allclose(D, fam.derivative_of(E), atol=1e-10)
 
@@ -341,6 +363,16 @@ def test_pinching_posterior_preserves_relevant_expectations(rng):
     before = extract_params(fam, rho)
     after = extract_params(fam, posterior(fam, rho))
     assert np.max(np.abs(before - after)) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: pinching_ansatz(bad),
+    lambda bad: selective_ansatz(bad, 1.0),
+    lambda bad: factorized_ansatz(bad, (2, 2)),
+], ids=["pinching", "selective", "factorized"])
+def test_block_families_reject_non_finite_inputs(build):
+    with pytest.raises(ValidationError, match="non-finite"):
+        build(np.diag([np.nan, 1.0]).astype(complex))
 
 
 def test_pinching_state_of_rejects_negative_block():

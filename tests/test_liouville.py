@@ -62,6 +62,14 @@ def test_generator_validation(rng):
         GkslGenerator(hamiltonian=H, jumps=((random_complex(rng, 3), 0.5),))
 
 
+@pytest.mark.parametrize("where", ["hamiltonian", "jump operator"])
+def test_generator_rejects_non_finite_operators(where):
+    bad = np.array([[0.0, np.nan], [np.nan, 1.0]], dtype=complex)
+    H, L = (bad, SIGMA_MINUS) if where == "hamiltonian" else (np.eye(2, dtype=complex), bad)
+    with pytest.raises(ValidationError, match=f"non-finite entries in {where}"):
+        GkslGenerator(hamiltonian=H, jumps=((L, 1.0),))
+
+
 def test_generator_rejects_nan_rate():
     H = np.diag([1.0, 0.0]).astype(complex)
     for check_rates in (True, False):

@@ -50,6 +50,13 @@ def test_qubit_params_validation():
         QubitParams(dt=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"omega0": np.inf}, {"beta0": np.nan}, {"Omega": np.inf}],
+                         ids=["omega0-inf", "beta0-nan", "Omega-inf"])
+def test_qubit_params_reject_non_finite(kwargs):
+    with pytest.raises(ValidationError, match="non-finite"):
+        QubitParams(**kwargs)
+
+
 def test_qubit_equilibrium_energy_frozen():
     p = QubitParams(omega0=1.0, beta0=1.0)
     assert p.equilibrium_energy == pytest.approx(0.2689414213699951, abs=1e-15)

@@ -29,6 +29,8 @@ from thermostrobe import (
     ode_rhs_second_order,
     ode_rhs_temperature,
 )
+from thermostrobe.ansatz import _GibbsPoint
+from thermostrobe.strob import _MomentKernel
 from tutil import random_generator, random_hermitian
 
 TOL = 1e-12
@@ -104,6 +106,11 @@ def check_against_dense(rng, obs, spectral):
     ode1, ode2, scale = dense_rhs(gen, obs, rho_fit, derivs_fit)
     assert_close(ode_rhs_first_order(gen, fam, E, CFG), ode1, scale)
     assert_close(ode_rhs_second_order(gen, fam, E, CFG), ode2, scale)
+    # natural coordinates: the beta-route velocity is J^-1 times the E-route one at E(beta)
+    kernel, J_inv = _MomentKernel(gen, fam), np.linalg.inv(J)
+    for order, e_route in ((1, ode_rhs_first_order), (2, ode_rhs_second_order)):
+        assert_close(kernel.beta_velocity(_GibbsPoint(rs, beta), order, CFG),
+                     J_inv @ e_route(gen, fam, E, CFG), scale * np.linalg.norm(J_inv, 2))
     if rs.size == 1:
         _, ode2, scale = dense_rhs(gen, obs, rho, derivs)
         expected = ode2[0] / J[0, 0]  # -(beta^2 / C) dE/dt with C = -beta^2 J

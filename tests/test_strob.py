@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from thermostrobe import (
     ContractError,
     DomainError,
     GibbsAnsatz,
+    GkslGenerator,
     MultilevelParams,
     Propagator,
     QubitParams,
+    SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Z,
     SingularityError,
     StrobConfig,
     Trajectory,
@@ -40,6 +45,10 @@ from thermostrobe import (
     run_ode_temperature,
     velocity_gradient,
 )
+from thermostrobe.cli import _scenario_context, estimate_tau, load_scenario
+from thermostrobe.strob import _MomentKernel, _second_order
+
+REPO = Path(__file__).resolve().parents[1]
 
 STANDARD = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, dt=0.1, Omega=0.0)
 DRIVEN = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, dt=0.1, Omega=0.2)
@@ -355,12 +364,68 @@ def test_run_ode_temperature_matches_energy_route():
     assert np.max(np.abs(tr_E.params - tr_b.params)) <= 1e-8
 
 
+@pytest.mark.parametrize("beta0", [np.nan, np.inf], ids=["nan", "inf"])
+def test_run_ode_temperature_rejects_non_finite_start(beta0):
+    cfg = StrobConfig(dt=0.1, horizon=1.0)
+    with pytest.raises(DomainError, match=r"protocol step 0 .*non-finite"):
+        run_ode_temperature(qubit_generator(STANDARD), qubit_family(), beta0, cfg)
+
+
 def test_run_ode_temperature_contract():
     gen = qubit_generator(STANDARD)
     cfg = StrobConfig(dt=0.1, horizon=1.0)
     fam = pinching_ansatz(qubit_energy_observable(STANDARD))
     with pytest.raises(ContractError):
         run_ode_temperature(gen, fam, 1.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Natural coordinates for Gibbs families
+
+
+def test_gibbs_beta_route_refines_qubit_standard():
+    """qubit_standard ode2 in beta is no farther from its half-step reference
+    than the same ODE integrated in E with a warm fit per RHS, and its
+    relaxation time is converged in the step to 5e-11."""
+    scenario = load_scenario(str(REPO / "scenarios" / "qubit_standard.yaml"))
+    model, fam, cfg, _ = _scenario_context(scenario)
+    E0 = np.array(scenario["initial"]["E"])
+    runs = {k: run_ode(model.generator, fam, E0, replace(cfg, ode_step=cfg.ode_step / k))
+            for k in (1, 2, 8)}
+    kernel = _MomentKernel(model.generator, fam)
+    e_route = integrate(lambda E: _second_order(cfg, *kernel.moments(E)), E0, cfg).params
+    reference = runs[2].params
+    e_route_gap = np.max(np.abs(e_route[::round(cfg.dt / cfg.ode_step)] - reference))
+    assert np.max(np.abs(runs[1].params - reference)) <= e_route_gap
+    assert abs(estimate_tau(runs[1]) - estimate_tau(runs[8])) <= 5e-11
+
+
+def test_gibbs_ode_runs_up_to_the_spectrum_edge():
+    # a cold bath pulls E closer to the ground-state edge than the fit's boundary margin
+    p = QubitParams(omega0=1.0, gamma=5.0, beta0=40.0, dt=0.1, Omega=0.0)
+    tr = run_ode(qubit_generator(p), qubit_family(), [0.5], StrobConfig(dt=0.1, horizon=6.0),
+                 order=2, with_temps=True)
+    assert 0.0 < tr.params[-1, 0] < 1e-9
+    assert np.all(np.isfinite(tr.temps)) and tr.temps[-1, 0] > 20.0
+
+
+def test_run_ode_temperature_passes_infinite_temperature():
+    # the temperature form divides by C = -beta^2 J, which vanishes at beta = 0;
+    # the integrated velocity J^-1 dE/dt does not, so an inverted start relaxes through it
+    tr = run_ode_temperature(qubit_generator(STANDARD), qubit_family(), -0.5,
+                             StrobConfig(dt=0.1, horizon=10.0))
+    assert np.all(np.diff(tr.temps[:, 0]) > 0.0)
+    assert tr.temps[0, 0] < 0.0 < tr.temps[-1, 0] and abs(tr.temps[-1, 0] - STANDARD.beta0) < 1e-2
+
+
+def test_gibbs_ode_singular_response_carries_step():
+    # zero-temperature decay drives an (S_z, S_x) family to the pure ground
+    # state, where the response matrix J loses rank
+    gen = GkslGenerator(0.5 * SIGMA_Z, ((SIGMA_MINUS, 5.0),))
+    fam = GibbsAnsatz((SIGMA_Z, SIGMA_X))
+    cfg = StrobConfig(dt=0.1, horizon=10.0)
+    with pytest.raises(SingularityError, match=r"protocol step \d+ .*numerically singular"):
+        run_ode(gen, fam, [0.2, 0.3], cfg, order=2)
 
 
 # ---------------------------------------------------------------------------

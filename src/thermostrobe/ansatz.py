@@ -315,10 +315,19 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
     halved (up to 60 times) until the max-norm residual decreases.  For a
     single observable an out-of-range target raises immediately, and a
     monotone bisection takes over when Newton meets a singular response
-    matrix, stalls, or runs out of iterations.
+    matrix, stalls, or runs out of iterations.  A negative tol or a max_iter
+    below 1 raises ValidationError.
     """
+    _check_fit_settings(tol, max_iter)
     point, info = _fit_point(_as_relevant(observables), target, beta_init, tol, max_iter)
     return (point.beta, info) if full_output else point.beta
+
+
+def _check_fit_settings(tol: float, max_iter: int) -> None:
+    if not tol >= 0.0:
+        raise ValidationError(f"fit tolerance must be nonnegative, got {tol}")
+    if not max_iter >= 1:
+        raise ValidationError(f"fit max_iter must be at least 1, got {max_iter}")
 
 
 def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: int):
@@ -434,17 +443,13 @@ def posterior(family: AnsatzFamily, rho) -> np.ndarray:
     return family.state_of(extract_params(family, rho))
 
 
-def ansatz_derivative(family: AnsatzFamily, E) -> np.ndarray:
-    """Stack of parameter derivatives of the family at E."""
-    return family.derivative_of(E)
-
-
 class GibbsAnsatz(AnsatzFamily):
     """Generalized Gibbs family over a relevant set, with Newton-fitted exponents."""
 
     is_linear = False
 
     def __init__(self, observables, fit_tol: float = 1e-11, fit_max_iter: int = 200):
+        _check_fit_settings(fit_tol, fit_max_iter)
         self.relevant = _as_relevant(observables)
         self.fit_tol = float(fit_tol)
         self.fit_max_iter = int(fit_max_iter)
@@ -682,17 +687,3 @@ class FactorizedAnsatz(_LinearAnsatz):
         """The linear factorization map Tr_B(M) x rho_B on arbitrary operators."""
         return kron(partial_trace(M, self.dims, "S"), self.rho_B)
 
-
-def pinching_ansatz(X) -> PinchingAnsatz:
-    """Family fixing the diagonal blocks of X's eigenbasis (block dephasing)."""
-    return PinchingAnsatz(X)
-
-
-def selective_ansatz(X, eigenvalue: float) -> SelectiveAnsatz:
-    """Family of states renormalized onto one eigenvalue branch of X."""
-    return SelectiveAnsatz(X, eigenvalue)
-
-
-def factorized_ansatz(rho_B, dims: tuple[int, int]) -> FactorizedAnsatz:
-    """Family of product states with a fixed bath factor."""
-    return FactorizedAnsatz(rho_B, dims)

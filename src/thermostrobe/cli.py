@@ -26,6 +26,7 @@ from .ansatz import (
     GibbsAnsatz,
     PinchingAnsatz,
     SelectiveAnsatz,
+    _check_fit_settings,
     extract_params,
     fit_beta,
     gibbs_expectations,
@@ -48,16 +49,14 @@ from .models import (
     qubit_generator,
 )
 from .strob import (
+    ContinuumLimit,
     StrobConfig,
     Trajectory,
+    _second_order,
     invariant_subspace_matrix,
-    ode_rhs_second_order,
-    relevant_curvature,
-    relevant_velocity,
     run_discrete,
     run_ode,
     run_ode_temperature,
-    velocity_gradient,
 )
 
 MODEL_KINDS = ("qubit", "multilevel", "custom-gksl")
@@ -123,10 +122,16 @@ def _as_floats(value, what: str) -> tuple[float, ...]:
 
 
 def _as_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    """An integer, an integral float or an integer string; bools and fractions are refused."""
+    if not isinstance(value, bool):
+        try:
+            out = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if out == value or isinstance(value, str):
+                return out
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _parse_entry(entry, what: str) -> complex:
@@ -442,29 +447,27 @@ def _grid_deviation(a: Trajectory, b: Trajectory) -> float:
     return float(np.max(np.abs(a.params[:n] - b.params[:n])))
 
 
-def _analytic_check(model: ModelBundle, family: AnsatzFamily) -> dict:
+def _analytic_check(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig) -> dict:
     if model.kind not in ("qubit", "multilevel"):
         raise ConfigError("generic_vs_analytic is defined for qubit and multilevel models")
     if not (isinstance(family, GibbsAnsatz) and family.size == 1):
         raise ConfigError("generic_vs_analytic needs a gibbs-canonical ansatz over the "
                           "model energy observable")
+    limit = ContinuumLimit(model.generator, family, cfg)
     dev_a = 0.0
     dev_b = 0.0
     if model.kind == "qubit":
         p = model.qubit
         for E in np.linspace(0.05, 0.95, 19) * p.omega0:
-            dev_a = max(dev_a, abs(relevant_velocity(model.generator, family, [E])[0]
-                                   - float(qubit_A_analytic(E, p))))
-            dev_b = max(dev_b, abs(relevant_curvature(model.generator, family, [E])[0]
-                                   - float(qubit_B_analytic(E, p))))
+            a, b, _ = limit.moments([E], gradient=False)
+            dev_a = max(dev_a, abs(a[0] - float(qubit_A_analytic(E, p))))
+            dev_b = max(dev_b, abs(b[0] - float(qubit_B_analytic(E, p))))
     else:
         p = model.multilevel
         for beta in p.beta0 + np.linspace(-0.5, 0.5, 11):
-            E = gibbs_expectations(family.relevant, [beta])
-            dev_a = max(dev_a, abs(relevant_velocity(model.generator, family, E)[0]
-                                   - multilevel_A_analytic(beta, p)))
-            dev_b = max(dev_b, abs(relevant_curvature(model.generator, family, E)[0]
-                                   - multilevel_B_analytic(beta, p)))
+            a, b, _ = limit.moments(gibbs_expectations(family.relevant, [beta]), gradient=False)
+            dev_a = max(dev_a, abs(a[0] - multilevel_A_analytic(beta, p)))
+            dev_b = max(dev_b, abs(b[0] - multilevel_B_analytic(beta, p)))
     return {"generic_vs_analytic_A": dev_a, "generic_vs_analytic_B": dev_b}
 
 
@@ -523,7 +526,7 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
             diagnostics[f"deviation_{p1}_vs_{p2}"] = _grid_deviation(trajectories[p1],
                                                                      trajectories[p2])
     if checks.get("generic_vs_analytic"):
-        diagnostics.update(_analytic_check(model, family))
+        diagnostics.update(_analytic_check(model, family, cfg))
     summary["diagnostics"] = diagnostics
     _dump_json(os.path.join(out_dir, f"{name}_summary.json"), summary)
     return 0
@@ -591,6 +594,10 @@ def cmd_fit(scenario: dict, out_dir: str) -> int:
     _known_keys(fit_section, {"target_E", "tail_of", "tol", "max_iter"}, "fit")
     tol = _as_float(fit_section.get("tol", 1e-10), "fit.tol")
     max_iter = _as_int(fit_section.get("max_iter", 200), "fit.max_iter")
+    try:
+        _check_fit_settings(tol, max_iter)
+    except ValidationError as err:
+        raise ConfigError(f"invalid fit settings: {err}") from err
     report: dict = {"name": name, "model": model.kind, "ansatz": family.label}
     if fit_section.get("target_E") is not None:
         target = fit_section["target_E"]
@@ -637,18 +644,15 @@ def cmd_analyze_invariance(scenario: dict, out_dir: str) -> int:
     diagnostics: dict = {}
     if "initial" in scenario:
         E0, _ = build_initial(scenario["initial"], family)
-        a = relevant_velocity(model.generator, family, E0)
-        b = relevant_curvature(model.generator, family, E0)
-        W = velocity_gradient(model.generator, family, E0)
-        bracket = b - W @ a
-        report["bracket_norm"] = float(np.max(np.abs(bracket)))
+        # fd_mode switches only the ode2 protocol to the fd gradient; the bracket stays analytic
+        a, b, W = ContinuumLimit(model.generator, family, replace(cfg, fd_check=False)).moments(E0)
+        report["bracket_norm"] = float(np.max(np.abs(b - W @ a)))
         if result.invariant:
             # closure predicts the velocity affinely: a_m = L[m+1, 0] + sum_j L[m+1, j+1] E_j
             predicted = result.matrix[1:, 0] + result.matrix[1:, 1:] @ E0
             diagnostics["closure_velocity_deviation"] = float(np.max(np.abs(predicted - a)))
             diagnostics["rhs_drop_ode1_vs_ode2"] = float(np.max(np.abs(
-                ode_rhs_second_order(model.generator, family, E0, cfg)
-                - cfg.lam * a)))
+                _second_order(cfg, a, b, W) - cfg.lam * a)))
     report["diagnostics"] = diagnostics
     _dump_json(os.path.join(out_dir, f"{name}_invariance.json"), report)
     return 0

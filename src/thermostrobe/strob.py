@@ -20,7 +20,7 @@ map E -> beta is solved only once, for the initial point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import ceil, isfinite
 
@@ -35,7 +35,6 @@ from .ansatz import (
     _LinearAnsatz,
     _rotate,
     extract_params,
-    gibbs_jacobian,
 )
 from .errors import (
     CapacityError,
@@ -148,50 +147,49 @@ def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
     the family state for lam * dt and re-extracts its parameters."""
     n = cfg.n_steps()
     propagator = Propagator.build(gen, cfg.lam * cfg.dt)
-    kernel = _MomentKernel(gen, family)
+    limit = ContinuumLimit(gen, family, cfg)
     times, params = _walk(_as_params(E0, family.size), n, cfg.dt,
-                          lambda E: extract_params(family, propagator.apply(kernel.state(E))))
-    temps = _temps_for(kernel, params) if with_temps else None
+                          lambda E: extract_params(family, propagator.apply(limit.state(E))))
+    temps = _temps_for(limit, params) if with_temps else None
     return Trajectory(times, params, temps, meta={"protocol": "discrete", "dt": cfg.dt, "lam": cfg.lam})
 
 
-def _temps_for(kernel: _MomentKernel, params: np.ndarray) -> np.ndarray | None:
+def _temps_for(limit: ContinuumLimit, params: np.ndarray) -> np.ndarray | None:
     """Gibbs exponents of a discrete run's rows: the fit the walk made for each
     row it advanced, plus one warm fit for the final row; None for other families."""
-    if not kernel._gibbs:
+    if not limit._gibbs:
         return None
-    kernel._point(params[-1])
-    return np.array(kernel.fitted)
+    limit._point(params[-1])
+    return np.array(limit.fitted)
 
 
 # ---------------------------------------------------------------------------
-# Continuum-limit moments
+# Continuum limit
 
 
-class _MomentKernel:
-    """Per-run access to a family's states and continuum-limit moments.
+class ContinuumLimit:
+    """The continuum limit of the measure-evolve protocol for one generator,
+    family and config: the moments (<A>, <B>, W) at a point and the parameter
+    velocity lam <A> + (alpha/2)(<B> - W <A>) built from them.
 
-    At a point it returns the first moments <A_m>, the second moments <B_m>
-    and the velocity gradient W_mj = d<A_m>/dE_j, with the Heisenberg images
-    A_m = L*(P_m) and B_m = L*(A_m) built once.  Gibbs fits are warm-started
-    from the previous fit, and their exponents are kept in order in fitted.
-    At a Gibbs point the gradient is taken in beta, G = d<A>/dbeta, and
-    W = G J^-1.  When the Gibbs observables commute every state
-    is diagonal in their common eigenbasis U, so only the vectors
+    <A_m> and <B_m> are the expectations of the Heisenberg images
+    A_m = L*(P_m) and B_m = L*(A_m), built once, and W_mj = d<A_m>/dE_j is
+    the velocity gradient along the family: analytic, or central differences
+    of <A> with step cfg.fd_step when cfg.fd_check.  Gibbs fits are
+    warm-started from the previous fit, and their exponents are kept in order
+    in fitted.  At a Gibbs point the gradient is taken in beta,
+    G = d<A>/dbeta, and W = G J^-1.  When the Gibbs observables commute every
+    state is diagonal in their common eigenbasis U, so only the vectors
     diag(U^dag A_m U) and diag(U^dag B_m U) enter and no d x d matrix is formed.
     A linear family's state is R0 + sum_j E_j D_j, so the moments are affine
     in E: the images are paired with R0 and D once, and each point only checks
     feasibility and reads the table (W is its constant slope).
     """
 
-    def __init__(self, gen: GkslGenerator, family: AnsatzFamily, gradient_mode: str = "analytic",
-                 fd_step: float = 1e-5):
-        if gradient_mode not in ("analytic", "fd"):
-            raise ValidationError(f"unknown gradient mode {gradient_mode!r}")
+    def __init__(self, gen: GkslGenerator, family: AnsatzFamily, cfg: StrobConfig):
         self.gen = gen
         self.family = family
-        self.mode = gradient_mode
-        self.fd_step = fd_step
+        self.cfg = cfg
         self._gibbs = isinstance(family, GibbsAnsatz)
         self._linear = isinstance(family, _LinearAnsatz)
         self.fitted: list[np.ndarray] = []
@@ -220,37 +218,48 @@ class _MomentKernel:
     def state(self, E: np.ndarray) -> np.ndarray:
         return self._point(E).state() if self._gibbs else self.family.state_of(E)
 
+    def moments(self, E, gradient: bool = True):
+        """(<A>, <B>, W) at parameters E; W is None without gradient."""
+        return self._moments(_as_params(E, self.family.size), gradient, self.cfg.fd_check)
+
     def gibbs_moments(self, point: _GibbsPoint, gradient: bool = True):
         """(<A>, <B>, G) at a Gibbs point, G_mn = d<A_m>/dbeta_n; G is None without gradient."""
+        return self._gibbs_moments(point, gradient, self.cfg.fd_check)
+
+    def velocity(self, E, order: int) -> np.ndarray:
+        """dE/dt at E: lam <A> for order 1, with the finite-reset correction for order 2."""
+        a, b, W = self.moments(E, gradient=order == 2)
+        return self.cfg.lam * a if order == 1 else _second_order(self.cfg, a, b, W)
+
+    def beta_velocity(self, point: _GibbsPoint, order: int) -> np.ndarray:
+        """dbeta/dt = J^-1 dE/dt at a Gibbs point, with one J^-1 shared by dbeta and W = G J^-1."""
+        a, b, G = self.gibbs_moments(point, order == 2)
+        J_inv = point.response_inverse()
+        dE = self.cfg.lam * a if order == 1 else _second_order(self.cfg, a, b, G @ J_inv)
+        return J_inv @ dE
+
+    def _gibbs_moments(self, point: _GibbsPoint, gradient: bool, fd: bool):
         M = self.family.size
         X = self._images if point.diagonal else _rotate(point.U, self._images, diagonal=False)
         ab = point.expect(X)
         if not gradient:
             G = None
-        elif self.mode == "analytic":
-            G = point.expect_derivative(X[:M])
-        else:
+        elif fd:
             relevant = self.family.relevant
-            G = _central_difference(lambda beta: self.gibbs_moments(_GibbsPoint(relevant, beta), False)[0],
-                                    point.beta, self.fd_step)
+            G = _central_difference(
+                lambda beta: self._gibbs_moments(_GibbsPoint(relevant, beta), False, False)[0],
+                point.beta, self.cfg.fd_step)
+        else:
+            G = point.expect_derivative(X[:M])
         return ab[:M], ab[M:], G
 
-    def beta_velocity(self, point: _GibbsPoint, order: int, cfg: StrobConfig) -> np.ndarray:
-        """dbeta/dt = J^-1 dE/dt at a Gibbs point, with one J^-1 shared by dbeta and W = G J^-1."""
-        a, b, G = self.gibbs_moments(point, order == 2)
-        J_inv = point.response_inverse()
-        dE = cfg.lam * a if order == 1 else _second_order(cfg, a, b, G @ J_inv)
-        return J_inv @ dE
-
-    def moments(self, E, gradient: bool = True):
-        """(<A>, <B>, W) at parameters E; W is None without gradient."""
+    def _moments(self, E: np.ndarray, gradient: bool, fd: bool):
         M = self.family.size
-        E = _as_params(E, M)
         if self._gibbs:
             point = self._point(E)
-            a, b, G = self.gibbs_moments(point, gradient)
+            a, b, G = self._gibbs_moments(point, gradient, fd)
             return a, b, G @ point.response_inverse() if gradient else None
-        analytic = gradient and self.mode == "analytic"
+        analytic = gradient and not fd
         if self._linear:
             self.family.feasible_block(E)
             offset, slope = self._table
@@ -262,8 +271,8 @@ class _MomentKernel:
                           self.family.derivative_of(E)).real if analytic else None
             ab = np.einsum("mab,ab->m", self._images.conj(), rho).real
             a, b = ab[:M], ab[M:]
-        if gradient and self.mode == "fd":
-            W = _central_difference(lambda x: self.moments(x, False)[0], E, self.fd_step)
+        if gradient and fd:
+            W = _central_difference(lambda x: self._moments(x, False, False)[0], E, self.cfg.fd_step)
         return a, b, W
 
 
@@ -282,65 +291,28 @@ def _second_order(cfg: StrobConfig, a: np.ndarray, b: np.ndarray, W: np.ndarray)
     return cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a)
 
 
-def relevant_velocity(gen: GkslGenerator, family: AnsatzFamily, E) -> np.ndarray:
-    """First moments <A_m> = Tr(L*(P_m) state_of(E))."""
-    return _MomentKernel(gen, family).moments(E, gradient=False)[0]
-
-
-def relevant_curvature(gen: GkslGenerator, family: AnsatzFamily, E) -> np.ndarray:
-    """Second moments <B_m> = Tr(L*(L*(P_m)) state_of(E))."""
-    return _MomentKernel(gen, family).moments(E, gradient=False)[1]
-
-
-def velocity_gradient(gen: GkslGenerator, family: AnsatzFamily, E, mode: str = "analytic",
-                      fd_step: float = 1e-5) -> np.ndarray:
-    """Matrix W_mj = d<A_m>/dE_j along the family."""
-    return _MomentKernel(gen, family, mode, fd_step).moments(E)[2]
-
-
-def ode_rhs_first_order(gen: GkslGenerator, family: AnsatzFamily, E, cfg: StrobConfig) -> np.ndarray:
-    """Leading-order parameter velocity lam <A>."""
-    return cfg.lam * relevant_velocity(gen, family, E)
-
-
-def ode_rhs_second_order(gen: GkslGenerator, family: AnsatzFamily, E, cfg: StrobConfig,
-                         gradient_mode: str = "analytic") -> np.ndarray:
-    """Parameter velocity with the finite-reset correction at fixed alpha."""
-    return _second_order(cfg, *_MomentKernel(gen, family, gradient_mode, cfg.fd_step).moments(E))
-
-
 def _require_canonical(family: AnsatzFamily, what: str) -> None:
     if not isinstance(family, GibbsAnsatz) or family.size != 1:
         raise ContractError(f"{what} needs a canonical (single-observable) Gibbs family")
 
 
-def _capacity(beta: float, J: float) -> float:
-    if beta == 0.0:
-        raise DomainError("heat capacity is undefined at beta = 0 (dbeta/dE blows up)")
-    return -(beta**2) * J
-
-
-def heat_capacity(family: GibbsAnsatz, beta: float) -> float:
-    """C(beta) = -beta^2 dE/dbeta for a single-observable Gibbs family."""
-    _require_canonical(family, "heat capacity")
-    beta = float(beta)
-    return _capacity(beta, gibbs_jacobian(family.relevant, [beta])[0, 0])
-
-
 def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cfg: StrobConfig) -> float:
     """Temperature form of the second-order velocity, dbeta/dt = -(beta^2 / C) dE/dt.
 
-    With C = -beta^2 J this is the natural-coordinate velocity J^-1 dE/dt that
-    run_ode_temperature integrates; in this form it is singular at beta = 0,
+    With the heat capacity C = -beta^2 J this is the natural-coordinate
+    velocity J^-1 dE/dt that run_ode_temperature integrates (with the
+    analytic gradient); in this form it is undefined at beta = 0 (DomainError),
     where C vanishes while J stays finite, and a vanishing C raises
     SingularityError."""
     _require_canonical(family, "the temperature velocity")
     beta = float(beta)
+    if beta == 0.0:
+        raise DomainError("heat capacity is undefined at beta = 0 (dbeta/dE blows up)")
     point = _GibbsPoint(family.relevant, np.array([beta]))
-    C = _capacity(beta, point.jacobian[0, 0])
+    C = -(beta**2) * point.jacobian[0, 0]
     if C < 1e-15 * (1.0 + beta * beta):
         raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
-    return float(_MomentKernel(gen, family).beta_velocity(point, 2, cfg)[0])
+    return float(ContinuumLimit(gen, family, replace(cfg, fd_check=False)).beta_velocity(point, 2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +328,8 @@ def rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
-    """Classic fourth-order Runge-Kutta with step cfg.ode_step over cfg.horizon,
-    recording every step."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    steps = cfg.horizon / cfg.ode_step
-    _check_cap(steps)
-    n = max(1, ceil(steps - GRID_TOL)) if cfg.horizon > 0.0 else 0
-    h = cfg.horizon / n if n else 0.0
-
-    def vec_rhs(y: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.asarray(rhs(y), dtype=float))
-
-    times, rows = _walk(x, n, h, lambda y: rk4_step(vec_rhs, y, h))
-    return Trajectory(times, rows, meta={"method": "rk4", "step": h})
-
-
-def _ode_walk(rhs, x0: np.ndarray, cfg: StrobConfig):
-    """RK4 sampled on the dt grid, with dt / ode_step steps per interval."""
+    """Classic fourth-order Runge-Kutta over cfg.horizon, sampled on the dt
+    grid with dt / ode_step steps per interval; rhs maps an array to an array."""
     n_sub = max(1, round(cfg.dt / cfg.ode_step))
     h = cfg.dt / n_sub
 
@@ -381,16 +338,17 @@ def _ode_walk(rhs, x0: np.ndarray, cfg: StrobConfig):
             x = rk4_step(rhs, x, h)
         return x
 
-    times, rows = _walk(x0, cfg.n_steps(), cfg.dt, advance, n_sub)
-    return times, rows, {"ode_step": h, "substeps": n_sub}
+    times, rows = _walk(np.atleast_1d(np.asarray(x0, dtype=float)), cfg.n_steps(), cfg.dt, advance, n_sub)
+    return Trajectory(times, rows, meta={"ode_step": h, "substeps": n_sub})
 
 
-def _gibbs_walk(kernel: _MomentKernel, beta0: np.ndarray, order: int, cfg: StrobConfig):
-    """Times, E rows, beta rows and meta of dbeta/dt = J^-1 dE/dt integrated from beta0."""
-    relevant = kernel.family.relevant
-    times, temps, meta = _ode_walk(
-        lambda beta: kernel.beta_velocity(_GibbsPoint(relevant, beta), order, cfg), beta0, cfg)
-    return times, np.array([_GibbsPoint(relevant, beta).E for beta in temps]), temps, meta
+def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, order: int) -> Trajectory:
+    """dbeta/dt = J^-1 dE/dt integrated from beta0: E rows as params, beta rows as temps."""
+    relevant = limit.family.relevant
+    traj = integrate(lambda beta: limit.beta_velocity(_GibbsPoint(relevant, beta), order), beta0, limit.cfg)
+    traj.temps = traj.params
+    traj.params = np.array([_GibbsPoint(relevant, beta).E for beta in traj.temps])
+    return traj
 
 
 def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, order: int = 2,
@@ -404,35 +362,33 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
     final point."""
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
-    mode = "fd" if cfg.fd_check else "analytic"
-    kernel = _MomentKernel(gen, family, mode, cfg.fd_step)
+    limit = ContinuumLimit(gen, family, cfg)
     E0 = _as_params(E0, family.size)
-    if kernel._gibbs:
-        times, params, temps, meta = _gibbs_walk(kernel, kernel._point(E0).beta, order, cfg)
-        params[0] = E0
+    if limit._gibbs:
+        traj = _gibbs_walk(limit, limit._point(E0).beta, order)
+        traj.params[0] = E0
+        if not with_temps:
+            traj.temps = None
     else:
-        def rhs(E: np.ndarray) -> np.ndarray:
-            if order == 1:
-                return cfg.lam * kernel.moments(E, gradient=False)[0]
-            return _second_order(cfg, *kernel.moments(E))
-
-        times, params, meta = _ode_walk(rhs, E0, cfg)
-        temps = None
-    meta = {"protocol": f"ode{order}", **meta, "gradient_mode": mode if order == 2 else "none"}
+        traj = integrate(lambda E: limit.velocity(E, order), E0, cfg)
+    mode = ("fd" if cfg.fd_check else "analytic") if order == 2 else "none"
+    traj.meta = {"protocol": f"ode{order}", **traj.meta, "gradient_mode": mode}
     if cfg.fd_check and order == 2:
-        W_fd = velocity_gradient(gen, family, params[-1], mode="fd", fd_step=cfg.fd_step)
-        W_an = velocity_gradient(gen, family, params[-1], mode="analytic")
-        meta["fd_gradient_deviation"] = float(np.max(np.abs(W_fd - W_an)))
-    return Trajectory(times, params, temps if with_temps else None, meta=meta)
+        W_fd, W = (limit._moments(traj.params[-1], True, fd)[2] for fd in (True, False))
+        traj.meta["fd_gradient_deviation"] = float(np.max(np.abs(W_fd - W)))
+    return traj
 
 
 def run_ode_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta0: float,
                         cfg: StrobConfig) -> Trajectory:
     """Integrate the second-order velocity in beta for a canonical Gibbs family,
-    from a given inverse temperature: run_ode's Gibbs route without the fit."""
+    from a given inverse temperature: run_ode's Gibbs route without the fit,
+    always with the analytic gradient."""
     _require_canonical(family, "the temperature velocity")
-    times, params, temps, meta = _gibbs_walk(_MomentKernel(gen, family), np.array([float(beta0)]), 2, cfg)
-    return Trajectory(times, params, temps, meta={"protocol": "ode-temperature", **meta})
+    limit = ContinuumLimit(gen, family, replace(cfg, fd_check=False))
+    traj = _gibbs_walk(limit, np.array([float(beta0)]), 2)
+    traj.meta = {"protocol": "ode-temperature", **traj.meta}
+    return traj
 
 
 # ---------------------------------------------------------------------------

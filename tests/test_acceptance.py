@@ -12,15 +12,18 @@ import numpy as np
 import pytest
 
 from thermostrobe import (
+    ContinuumLimit,
+    FactorizedAnsatz,
     GibbsAnsatz,
     MultilevelParams,
+    PinchingAnsatz,
     QubitParams,
+    SelectiveAnsatz,
     StrobConfig,
     apply_heisenberg,
     apply_schrodinger,
     choi_psd_check,
     extract_params,
-    factorized_ansatz,
     fit_beta,
     gibbs_expectations,
     gibbs_jacobian,
@@ -29,7 +32,6 @@ from thermostrobe import (
     multilevel_B_analytic,
     multilevel_energy_observable,
     multilevel_generator,
-    pinching_ansatz,
     posterior,
     propagate,
     qubit_A_analytic,
@@ -41,13 +43,9 @@ from thermostrobe import (
     qubit_generator,
     qubit_rate_closed_form,
     qubit_tau,
-    relevant_curvature,
-    relevant_velocity,
     run_discrete,
     run_ode,
     run_ode_temperature,
-    selective_ansatz,
-    velocity_gradient,
 )
 from thermostrobe.cli import main
 from tutil import commutator_norm, random_density, random_generator, random_hermitian
@@ -115,13 +113,11 @@ def test_criterion_2_zero_drive_is_unbiased():
     """Without driving the protocol relaxes exactly to the bath temperature."""
     p = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, dt=0.1, Omega=0.0)
     assert abs(qubit_beta_stationary(p) - p.beta0) <= 1e-12
-    gen = qubit_generator(p)
     fam = GibbsAnsatz.canonical(qubit_energy_observable(p), fit_tol=1e-13)
+    limit = ContinuumLimit(qubit_generator(p), fam, StrobConfig())
     worst = 0.0
     for E in np.linspace(0.05, 0.95, 19):
-        a = relevant_velocity(gen, fam, [E])
-        b = relevant_curvature(gen, fam, [E])
-        W = velocity_gradient(gen, fam, [E])
+        a, b, W = limit.moments([E])
         worst = max(worst, float(np.max(np.abs(b - W @ a))))
     assert worst <= 1e-12
     print(f"CRITERION 2 PASS: beta_st == beta0 to 1e-12, max bracket {worst:.3e}")
@@ -165,11 +161,10 @@ def test_criterion_4_generic_matches_analytic_qubit():
                         if fam is None:
                             fam = GibbsAnsatz.canonical(qubit_energy_observable(p),
                                                         fit_tol=1e-13)
-                        gen = qubit_generator(p)
+                        limit = ContinuumLimit(qubit_generator(p), fam, StrobConfig())
                         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
                             E = frac * omega0
-                            a = relevant_velocity(gen, fam, [E])[0]
-                            b = relevant_curvature(gen, fam, [E])[0]
+                            (a,), (b,), _ = limit.moments([E], gradient=False)
                             worst_a = max(worst_a, abs(a - qubit_A_analytic(E, p)))
                             worst_b = max(worst_b, abs(b - qubit_B_analytic(E, p)))
     assert worst_a <= 1e-10
@@ -186,7 +181,7 @@ def test_criterion_5_multilevel_relaxation():
     gen = multilevel_generator(ML)
     fam = GibbsAnsatz.canonical(multilevel_energy_observable(ML), fit_tol=1e-12)
     E_at_bath = gibbs_expectations(fam.relevant, [ML.beta0])
-    assert abs(relevant_velocity(gen, fam, E_at_bath)[0]) <= 1e-12
+    assert abs(ContinuumLimit(gen, fam, StrobConfig()).moments(E_at_bath, gradient=False)[0][0]) <= 1e-12
     cfg = StrobConfig(lam=1.0, dt=0.1, horizon=50.0)
     terminals = []
     for beta0, sign in ((ML.beta0 - 0.5, +1.0), (ML.beta0 + 0.5, -1.0)):
@@ -276,14 +271,14 @@ def test_criterion_7_structural_batteries():
     def family_draw(k):
         d = int(rng.integers(2, 5))
         if k == 0:
-            return pinching_ansatz(random_hermitian(rng, d)), d
+            return PinchingAnsatz(random_hermitian(rng, d)), d
         if k == 1:
             X = random_hermitian(rng, d)
             w = np.linalg.eigvalsh(X)
-            return selective_ansatz(X, float(w[-1])), d
+            return SelectiveAnsatz(X, float(w[-1])), d
         if k == 2:
             dB = int(rng.integers(2, 4))
-            return factorized_ansatz(random_density(rng, dB), (d, dB)), d * dB
+            return FactorizedAnsatz(random_density(rng, dB), (d, dB)), d * dB
         return GibbsAnsatz((random_hermitian(rng, d),), fit_tol=1e-12), d
 
     worst_idem = 0.0
@@ -299,11 +294,11 @@ def test_criterion_7_structural_batteries():
         d = int(rng.integers(2, 5))
         kind = case % 4
         if kind == 0:
-            fam = pinching_ansatz(random_hermitian(rng, d))
+            fam = PinchingAnsatz(random_hermitian(rng, d))
             E = extract_params(fam, random_density(rng, d))
         elif kind == 1:
             dB = int(rng.integers(2, 4))
-            fam = factorized_ansatz(random_density(rng, dB), (d, dB))
+            fam = FactorizedAnsatz(random_density(rng, dB), (d, dB))
             E = extract_params(fam, random_density(rng, d * dB))
         elif kind == 2:
             fam = GibbsAnsatz((random_hermitian(rng, d),), fit_tol=1e-13)
@@ -324,7 +319,7 @@ def test_criterion_7_structural_batteries():
     worst_pinch = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 6))
-        fam = pinching_ansatz(random_hermitian(rng, d))
+        fam = PinchingAnsatz(random_hermitian(rng, d))
         M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         once = fam.project(M)
         worst_pinch = max(worst_pinch, float(np.max(np.abs(fam.project(once) - once))))

@@ -15,9 +15,7 @@ from thermostrobe import (
     SIGMA_Z,
     ValidationError,
     ZeroProbabilityBranchError,
-    ansatz_derivative,
     extract_params,
-    factorized_ansatz,
     fit_beta,
     gibbs_expectations,
     gibbs_jacobian,
@@ -25,10 +23,8 @@ from thermostrobe import (
     gibbs_state,
     hermiticity_defect,
     kron,
-    pinching_ansatz,
     posterior,
     qubit_beta_closed_form,
-    selective_ansatz,
 )
 from tutil import random_density, random_hermitian
 
@@ -219,6 +215,15 @@ def test_fit_beta_validates_target_shape():
         fit_beta((N_OP,), [0.3, 0.4])
 
 
+@pytest.mark.parametrize("tol, max_iter", [(-1.0, 200), (1e-10, 0), (1e-10, -3)],
+                         ids=["negative-tol", "zero-max-iter", "negative-max-iter"])
+def test_fit_settings_are_validated(tol, max_iter):
+    with pytest.raises(ValidationError, match="fit"):
+        fit_beta((N_OP,), [0.3], tol=tol, max_iter=max_iter)
+    with pytest.raises(ValidationError, match="fit"):
+        GibbsAnsatz.canonical(N_OP, fit_tol=tol, fit_max_iter=max_iter)
+
+
 def test_qubit_beta_closed_form():
     p = 1.0 / (1.0 + np.e)
     assert qubit_beta_closed_form(p, 1.0) == pytest.approx(1.0, abs=1e-14)
@@ -313,18 +318,13 @@ def test_extract_params_rejects_imaginary_part():
         extract_params(fam, bad)
 
 
-def test_ansatz_derivative_helper():
-    fam = GibbsAnsatz.canonical(N_OP)
-    assert np.allclose(ansatz_derivative(fam, [0.3]), fam.derivative_of([0.3]), atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Pinching family
 
 
 def test_pinching_nondegenerate_is_diagonal_family():
     X = np.diag([0.0, 1.0, 2.5]).astype(complex)
-    fam = pinching_ansatz(X)
+    fam = PinchingAnsatz(X)
     assert isinstance(fam, PinchingAnsatz)
     assert fam.is_linear
     assert fam.size == 2  # populations minus the trace constraint
@@ -334,7 +334,7 @@ def test_pinching_nondegenerate_is_diagonal_family():
 
 def test_pinching_degenerate_block_keeps_coherence():
     X = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    fam = pinching_ansatz(X)
+    fam = PinchingAnsatz(X)
     assert fam.size == 4
     rho = np.array(
         [[0.4, 0.1 + 0.05j, 0.2], [0.1 - 0.05j, 0.3, 0.1j], [0.2, -0.1j, 0.3]],
@@ -349,7 +349,7 @@ def test_pinching_degenerate_block_keeps_coherence():
 
 def test_pinching_project_idempotent_and_matches_posterior(rng):
     X = random_hermitian(rng, 4)
-    fam = pinching_ansatz(X)
+    fam = PinchingAnsatz(X)
     rho = random_density(rng, 4)
     P1 = fam.project(rho)
     assert np.max(np.abs(fam.project(P1) - P1)) <= 1e-13
@@ -358,7 +358,7 @@ def test_pinching_project_idempotent_and_matches_posterior(rng):
 
 def test_pinching_posterior_preserves_relevant_expectations(rng):
     X = random_hermitian(rng, 3)
-    fam = pinching_ansatz(X)
+    fam = PinchingAnsatz(X)
     rho = random_density(rng, 3)
     before = extract_params(fam, rho)
     after = extract_params(fam, posterior(fam, rho))
@@ -366,9 +366,9 @@ def test_pinching_posterior_preserves_relevant_expectations(rng):
 
 
 @pytest.mark.parametrize("build", [
-    lambda bad: pinching_ansatz(bad),
-    lambda bad: selective_ansatz(bad, 1.0),
-    lambda bad: factorized_ansatz(bad, (2, 2)),
+    lambda bad: PinchingAnsatz(bad),
+    lambda bad: SelectiveAnsatz(bad, 1.0),
+    lambda bad: FactorizedAnsatz(bad, (2, 2)),
 ], ids=["pinching", "selective", "factorized"])
 def test_block_families_reject_non_finite_inputs(build):
     with pytest.raises(ValidationError, match="non-finite"):
@@ -377,14 +377,14 @@ def test_block_families_reject_non_finite_inputs(build):
 
 def test_pinching_state_of_rejects_negative_block():
     X = np.diag([0.0, 1.0]).astype(complex)
-    fam = pinching_ansatz(X)
+    fam = PinchingAnsatz(X)
     with pytest.raises(DomainError, match="feasible"):
         fam.state_of([1.5])  # forces the recovered population negative
 
 
 def test_pinching_derivative_is_constant_and_consistent(rng):
     X = random_hermitian(rng, 3)
-    fam = pinching_ansatz(X)
+    fam = PinchingAnsatz(X)
     E = extract_params(fam, random_density(rng, 3))
     D = fam.derivative_of(E)
     for m, P in enumerate(fam.relevant.observables):
@@ -399,7 +399,7 @@ def test_pinching_derivative_is_constant_and_consistent(rng):
 
 def test_selective_renormalizes_branch():
     X = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    fam = selective_ansatz(X, 1.0)
+    fam = SelectiveAnsatz(X, 1.0)
     assert isinstance(fam, SelectiveAnsatz)
     assert not fam.is_linear
     assert fam.size == 4  # full block coordinates, no trace drop
@@ -410,7 +410,7 @@ def test_selective_renormalizes_branch():
 
 def test_selective_zero_branch_raises():
     X = np.diag([1.0, -1.0]).astype(complex)
-    fam = selective_ansatz(X, 1.0)
+    fam = SelectiveAnsatz(X, 1.0)
     rho = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ZeroProbabilityBranchError):
         posterior(fam, rho)
@@ -419,13 +419,13 @@ def test_selective_zero_branch_raises():
 def test_selective_rejects_unknown_eigenvalue():
     X = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(ValidationError, match="spectrum"):
-        selective_ansatz(X, 0.5)
+        SelectiveAnsatz(X, 0.5)
 
 
 def test_selective_posterior_idempotent(rng):
     X = random_hermitian(rng, 3)
     w = np.linalg.eigvalsh(X)
-    fam = selective_ansatz(X, float(w[-1]))
+    fam = SelectiveAnsatz(X, float(w[-1]))
     rho = random_density(rng, 3)
     once = posterior(fam, rho)
     assert np.max(np.abs(posterior(fam, once) - once)) <= 1e-12
@@ -433,7 +433,7 @@ def test_selective_posterior_idempotent(rng):
 
 def test_selective_derivative_matches_fd():
     X = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    fam = selective_ansatz(X, 1.0)
+    fam = SelectiveAnsatz(X, 1.0)
     E = np.array([0.3, 0.05, -0.02, 0.25])  # block weight 0.55, off the unit slice
     D = fam.derivative_of(E)
     h = 1e-6
@@ -450,7 +450,7 @@ def test_selective_derivative_matches_fd():
 
 def test_factorized_state_and_posterior(rng):
     rho_B = np.diag([0.7, 0.3]).astype(complex)
-    fam = factorized_ansatz(rho_B, (2, 2))
+    fam = FactorizedAnsatz(rho_B, (2, 2))
     assert isinstance(fam, FactorizedAnsatz)
     assert fam.is_linear and fam.size == 3
     rho = random_density(rng, 4)
@@ -465,7 +465,7 @@ def test_factorized_state_and_posterior(rng):
 
 def test_factorized_posterior_preserves_relevant_expectations(rng):
     rho_B = random_density(rng, 3)
-    fam = factorized_ansatz(rho_B, (2, 3))
+    fam = FactorizedAnsatz(rho_B, (2, 3))
     rho = random_density(rng, 6)
     before = extract_params(fam, rho)
     after = extract_params(fam, posterior(fam, rho))
@@ -474,7 +474,7 @@ def test_factorized_posterior_preserves_relevant_expectations(rng):
 
 def test_factorized_derivative_is_product(rng):
     rho_B = random_density(rng, 2)
-    fam = factorized_ansatz(rho_B, (2, 2))
+    fam = FactorizedAnsatz(rho_B, (2, 2))
     D = fam.derivative_of(np.array([0.5, 0.0, 0.0]))
     h = 1e-6
     E = np.array([0.5, 0.1, -0.05])
@@ -488,11 +488,11 @@ def test_factorized_derivative_is_product(rng):
 def test_factorized_validation(rng):
     rho_B = random_density(rng, 2)
     with pytest.raises(ValidationError):
-        factorized_ansatz(rho_B, (1, 2))
+        FactorizedAnsatz(rho_B, (1, 2))
     with pytest.raises(ValidationError):
-        factorized_ansatz(rho_B, (2, 3))
+        FactorizedAnsatz(rho_B, (2, 3))
     with pytest.raises(ValidationError):
-        factorized_ansatz(2.0 * rho_B, (2, 2))
+        FactorizedAnsatz(2.0 * rho_B, (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +504,7 @@ def test_factorized_validation(rng):
 def test_pinching_posterior_idempotence_property(d, seed):
     rng = np.random.default_rng(seed)
     X = random_hermitian(rng, d)
-    fam = pinching_ansatz(X)
+    fam = PinchingAnsatz(X)
     rho = random_density(rng, d)
     once = posterior(fam, rho)
     assert np.max(np.abs(posterior(fam, once) - once)) <= 1e-12

@@ -2,12 +2,16 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from thermostrobe.cli import main
+from thermostrobe import strob
+from thermostrobe.cli import load_scenario, main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 QUBIT_BASE = {
     "name": "mini",
@@ -165,6 +169,36 @@ def test_factorized_non_integer_dims_is_config_error(tmp_path, capsys):
     path = scenario_file(tmp_path, sc)
     assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error: ansatz.dims must be an integer" in capsys.readouterr().err
+
+
+FACTORIZED_BASE = {
+    "name": "fact",
+    "model": {"kind": "custom-gksl", "hamiltonian": np.eye(4).tolist(), "jumps": []},
+    "ansatz": {"kind": "factorized", "bath_state": [[0.5, 0.0], [0.0, 0.5]], "dims": [2, 2]},
+    "protocols": ["discrete"],
+    "strob": {"dt": 0.1, "horizon": 0.5},
+    "initial": {"E": [0.5, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("command, scenario, section, key, value, message", [
+    ("fit", "qubit_fit", "fit", "max_iter", 2.7, "fit.max_iter must be an integer"),
+    ("fit", "qubit_fit", "fit", "max_iter", True, "fit.max_iter must be an integer"),
+    ("fit", "qubit_fit", "fit", "max_iter", -3, "max_iter must be at least 1"),
+    ("fit", "qubit_fit", "fit", "tol", -1, "fit tolerance must be nonnegative"),
+    ("simulate", "qubit_standard", "ansatz", "fit_tol", -1, "fit tolerance must be nonnegative"),
+    ("simulate", None, "ansatz", "dims", [2.9, 2], "ansatz.dims must be an integer"),
+], ids=["fractional-max-iter", "bool-max-iter", "negative-max-iter", "negative-tol",
+        "negative-fit-tol", "fractional-dims"])
+def test_bad_integer_and_tolerance_settings_are_config_errors(tmp_path, capsys, command, scenario,
+                                                              section, key, value, message):
+    sc = copy.deepcopy(FACTORIZED_BASE) if scenario is None else \
+        load_scenario(str(SCENARIOS / f"{scenario}.yaml"))
+    sc[section][key] = value
+    path = scenario_file(tmp_path, sc)
+    assert main([command, path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -404,6 +438,57 @@ def test_invariance_driven_qubit_fails(tmp_path):
     assert report["invariant"] is False
     assert report["residual"] > 0.1
     assert report["bracket_norm"] > 1e-3
+
+
+def test_invariance_bracket_frozen_values(tmp_path):
+    # a closed population family: the bracket and the ode2 - ode1 drop are
+    # rounding-level, so their exact values pin the arithmetic that forms them
+    sc = variant(MULTILEVEL_BASE, ansatz={"kind": "pinching"}, initial={"E": [0.5, 0.3]})
+    out = tmp_path / "out"
+    assert main(["analyze-invariance", scenario_file(tmp_path, sc), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "ml_invariance.json").read_text())
+    assert report["invariant"] is True
+    assert report["bracket_norm"] == 3.0531133177191805e-16
+    assert report["diagnostics"]["rhs_drop_ode1_vs_ode2"] == 1.3877787807814457e-17
+
+
+# ---------------------------------------------------------------------------
+# one continuum-limit object per command: the Heisenberg images are built once
+
+
+def count_images(monkeypatch) -> list:
+    calls = []
+    original = strob.apply_heisenberg
+
+    def counted(gen, X):
+        calls.append(X)
+        return original(gen, X)
+
+    monkeypatch.setattr(strob, "apply_heisenberg", counted)
+    return calls
+
+
+def test_invariance_builds_images_once(tmp_path, monkeypatch):
+    calls = count_images(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["analyze-invariance", str(SCENARIOS / "qubit_invariance.yaml"), "--out-dir", str(out)]) == 0
+    assert len(calls) == 4  # L*(I) and L*(H) for the closure, then A = L*(H) and B = L*(A)
+    report = json.loads((out / "qubit_invariance_invariance.json").read_text())
+    assert report["bracket_norm"] == 0.0
+    assert report["diagnostics"]["rhs_drop_ode1_vs_ode2"] == 0.0
+
+
+def test_analytic_check_builds_images_once(tmp_path, monkeypatch):
+    # the closed-form protocol applies no generator, so every image counted is the check's
+    sc = variant(QUBIT_BASE, protocols=["closed-form"], checks={"generic_vs_analytic": True})
+    path = scenario_file(tmp_path, sc)
+    calls = count_images(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--out-dir", str(out)]) == 0
+    assert len(calls) == 2  # A and B, shared by the 19 sample points
+    diag = json.loads((out / "mini_summary.json").read_text())["diagnostics"]
+    assert diag["generic_vs_analytic_A"] <= 1e-10
+    assert diag["generic_vs_analytic_B"] <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,23 @@ generators and families, and infeasible points are checked to fail as
 state_of fails.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermostrobe import (
+    ContinuumLimit,
     DomainError,
+    FactorizedAnsatz,
     GkslGenerator,
+    PinchingAnsatz,
     StrobConfig,
     apply_heisenberg,
     extract_params,
-    factorized_ansatz,
     frobenius,
-    ode_rhs_first_order,
-    ode_rhs_second_order,
-    pinching_ansatz,
-    relevant_curvature,
-    relevant_velocity,
     run_ode,
-    velocity_gradient,
 )
 from tutil import random_density, random_generator
 
@@ -41,11 +39,11 @@ def random_pinching(rng, d):
     L = int(rng.integers(1, d + 1))
     levels = rng.permutation(L).astype(float)
     w = levels[rng.permutation(np.concatenate([np.arange(L), rng.integers(0, L, size=d - L)]))]
-    return pinching_ansatz(U @ np.diag(w) @ U.conj().T)
+    return PinchingAnsatz(U @ np.diag(w) @ U.conj().T)
 
 
 def random_factorized(rng, dB):
-    return factorized_ansatz(random_density(rng, dB), (2, dB))
+    return FactorizedAnsatz(random_density(rng, dB), (2, dB))
 
 
 def dense_moments(gen, fam, E):
@@ -72,24 +70,26 @@ def check_table(rng, fam):
 
     gen = random_generator(rng, d)
     a, b, W, scale = dense_moments(gen, fam, E)
-    assert_close(relevant_velocity(gen, fam, E), a, scale)
-    assert_close(relevant_curvature(gen, fam, E), b, scale)
-    assert_close(velocity_gradient(gen, fam, E), W, scale)
-    assert_close(ode_rhs_first_order(gen, fam, E, CFG), CFG.lam * a, scale)
-    assert_close(ode_rhs_second_order(gen, fam, E, CFG),
+    limit = ContinuumLimit(gen, fam, CFG)
+    fd = ContinuumLimit(gen, fam, replace(CFG, fd_check=True))
+    assert_close(limit.moments(E, gradient=False)[0], a, scale)
+    assert_close(limit.moments(E, gradient=False)[1], b, scale)
+    assert_close(limit.moments(E)[2], W, scale)
+    assert_close(limit.velocity(E, 1), CFG.lam * a, scale)
+    assert_close(limit.velocity(E, 2),
                  CFG.lam * a + 0.5 * CFG.alpha * (b - W @ a), scale * (1.0 + np.max(np.abs(W))))
     # fd mode differentiates the same table; central differences of an affine map
-    assert np.max(np.abs(velocity_gradient(gen, fam, E, mode="fd") - W)) <= 1e-8 * scale
+    assert np.max(np.abs(fd.moments(E)[2] - W)) <= 1e-8 * scale
 
     # a negative diagonal coordinate leaves the domain; every path reports it as state_of does
     bad = E.copy()
     bad[0] = -0.5
     with pytest.raises(DomainError) as dense_err:
         fam.state_of(bad)
-    for call in (lambda: relevant_velocity(gen, fam, bad),
-                 lambda: velocity_gradient(gen, fam, bad),
-                 lambda: velocity_gradient(gen, fam, bad, mode="fd"),
-                 lambda: ode_rhs_second_order(gen, fam, bad, CFG)):
+    for call in (lambda: limit.moments(bad, gradient=False),
+                 lambda: limit.moments(bad),
+                 lambda: fd.moments(bad),
+                 lambda: limit.velocity(bad, 2)):
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == str(dense_err.value)
@@ -110,7 +110,7 @@ def test_factorized_table_matches_dense_path(dB, seed):
 
 
 def test_degenerate_pinching_blocks_are_exercised(rng):
-    fam = pinching_ansatz(np.diag([1.0, 1.0, 0.0, -1.0, -1.0]))
+    fam = PinchingAnsatz(np.diag([1.0, 1.0, 0.0, -1.0, -1.0]))
     assert fam.size == 8  # blocks of 2, 1 and 2 levels: 4 + 1 + 4 coordinates, one from the trace
     check_table(rng, fam)
 
@@ -122,10 +122,10 @@ def test_run_ode_stage_leaving_domain_carries_step_context(family):
     decay[3, 0] = 1.0
     gen = GkslGenerator(np.zeros((4, 4), dtype=complex), ((decay, 50.0),))
     if family == "pinching":
-        fam = pinching_ansatz(np.diag([3.0, 2.0, 1.0, 0.0]))
+        fam = PinchingAnsatz(np.diag([3.0, 2.0, 1.0, 0.0]))
         E0 = np.array([0.4, 0.2, 0.2])
     else:
-        fam = factorized_ansatz(np.diag([0.5, 0.5]), (2, 2))
+        fam = FactorizedAnsatz(np.diag([0.5, 0.5]), (2, 2))
         E0 = np.array([0.6, 0.0, 0.0])
     cfg = StrobConfig(lam=1.0, dt=0.1, horizon=0.5, ode_step=0.1)
     for order in (1, 2):

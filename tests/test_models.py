@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from thermostrobe import (
+    ContinuumLimit,
     DomainError,
     GibbsAnsatz,
     MultilevelParams,
     QubitParams,
+    StrobConfig,
     ValidationError,
     apply_schrodinger,
     bosonic_gamma,
@@ -25,8 +27,6 @@ from thermostrobe import (
     qubit_generator,
     qubit_rate_closed_form,
     qubit_tau,
-    relevant_curvature,
-    relevant_velocity,
 )
 
 STANDARD = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, dt=0.1, Omega=0.2)
@@ -110,12 +110,13 @@ def test_qubit_velocity_analytic_formulas():
 def test_qubit_analytic_moments_ignore_detuning():
     detuned = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, Omega=0.2, delta_omega=0.3)
     fam = GibbsAnsatz.canonical(qubit_energy_observable(detuned), fit_tol=1e-13)
-    gen = qubit_generator(detuned)
+    limit = ContinuumLimit(qubit_generator(detuned), fam, StrobConfig())
     for E in (0.2, 0.6):
-        assert relevant_velocity(gen, fam, [E])[0] == pytest.approx(
+        a, b, _ = limit.moments([E], gradient=False)
+        assert a[0] == pytest.approx(
             qubit_A_analytic(E, detuned), abs=1e-11
         )
-        assert relevant_curvature(gen, fam, [E])[0] == pytest.approx(
+        assert b[0] == pytest.approx(
             qubit_B_analytic(E, detuned), abs=1e-11
         )
 
@@ -206,14 +207,14 @@ def test_multilevel_analytic_zero_at_bath_temperature():
 
 
 def test_multilevel_analytic_matches_generic():
-    gen = multilevel_generator(ML)
     fam = GibbsAnsatz.canonical(multilevel_energy_observable(ML), fit_tol=1e-13)
+    limit = ContinuumLimit(multilevel_generator(ML), fam, StrobConfig())
     for beta in (0.5, 0.8, 1.3):
-        E = gibbs_expectations(fam.relevant, [beta])
-        assert relevant_velocity(gen, fam, E)[0] == pytest.approx(
+        a, b, _ = limit.moments(gibbs_expectations(fam.relevant, [beta]), gradient=False)
+        assert a[0] == pytest.approx(
             multilevel_A_analytic(beta, ML), abs=1e-11
         )
-        assert relevant_curvature(gen, fam, E)[0] == pytest.approx(
+        assert b[0] == pytest.approx(
             multilevel_B_analytic(beta, ML), abs=1e-11
         )
 
@@ -233,9 +234,9 @@ def test_multilevel_shifts_do_not_change_moments():
         assert multilevel_A_analytic(beta, shifted) == pytest.approx(
             multilevel_A_analytic(beta, ML), abs=1e-15
         )
-    gen = multilevel_generator(shifted)
     fam = GibbsAnsatz.canonical(multilevel_energy_observable(shifted), fit_tol=1e-13)
     E = gibbs_expectations(fam.relevant, [0.6])
-    assert relevant_velocity(gen, fam, E)[0] == pytest.approx(
+    a = ContinuumLimit(multilevel_generator(shifted), fam, StrobConfig()).moments(E, gradient=False)[0]
+    assert a[0] == pytest.approx(
         multilevel_A_analytic(0.6, shifted), abs=1e-11
     )

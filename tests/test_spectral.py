@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from thermostrobe import (
+    ContinuumLimit,
     GibbsAnsatz,
     RelevantSet,
     StrobConfig,
@@ -25,12 +26,9 @@ from thermostrobe import (
     gibbs_param_derivative,
     gibbs_state,
     hermitize,
-    ode_rhs_first_order,
-    ode_rhs_second_order,
     ode_rhs_temperature,
 )
 from thermostrobe.ansatz import _GibbsPoint
-from thermostrobe.strob import _MomentKernel
 from tutil import random_generator, random_hermitian
 
 TOL = 1e-12
@@ -104,13 +102,14 @@ def check_against_dense(rng, obs, spectral):
     gen = random_generator(rng, rs.dim)
     rho_fit, *_, derivs_fit = dense_gibbs(obs, fitted)
     ode1, ode2, scale = dense_rhs(gen, obs, rho_fit, derivs_fit)
-    assert_close(ode_rhs_first_order(gen, fam, E, CFG), ode1, scale)
-    assert_close(ode_rhs_second_order(gen, fam, E, CFG), ode2, scale)
+    limit = ContinuumLimit(gen, fam, CFG)
+    assert_close(limit.velocity(E, 1), ode1, scale)
+    assert_close(limit.velocity(E, 2), ode2, scale)
     # natural coordinates: the beta-route velocity is J^-1 times the E-route one at E(beta)
-    kernel, J_inv = _MomentKernel(gen, fam), np.linalg.inv(J)
-    for order, e_route in ((1, ode_rhs_first_order), (2, ode_rhs_second_order)):
-        assert_close(kernel.beta_velocity(_GibbsPoint(rs, beta), order, CFG),
-                     J_inv @ e_route(gen, fam, E, CFG), scale * np.linalg.norm(J_inv, 2))
+    J_inv = np.linalg.inv(J)
+    for order in (1, 2):
+        assert_close(limit.beta_velocity(_GibbsPoint(rs, beta), order),
+                     J_inv @ limit.velocity(E, order), scale * np.linalg.norm(J_inv, 2))
     if rs.size == 1:
         _, ode2, scale = dense_rhs(gen, obs, rho, derivs)
         expected = ode2[0] / J[0, 0]  # -(beta^2 / C) dE/dt with C = -beta^2 J

@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot
+from numbers import Integral
 
 import numpy as np
 
@@ -74,18 +75,12 @@ class RelevantSet:
             traceless = P - (np.trace(P) / d) * np.eye(d)
             if np.max(np.abs(traceless)) <= 1e-12 * scale_of(P):
                 raise ValidationError(f"observable {m} is a multiple of the identity")
-        basis = [np.eye(d, dtype=complex), *obs]
-        n = len(basis)
-        G = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                G[a, b] = frobenius(basis[a], basis[b]).real
-        cond = float(np.linalg.cond(G))
+        object.__setattr__(self, "observables", obs)
+        cond = float(np.linalg.cond(self.gram))
         if not np.isfinite(cond) or cond > GRAM_COND_MAX:
             raise ValidationError(
                 f"observables are linearly dependent (with the identity): Gram condition {cond:.3e}"
             )
-        object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "gram_condition", cond)
 
     @property
@@ -95,6 +90,17 @@ class RelevantSet:
     @property
     def size(self) -> int:
         return len(self.observables)
+
+    @cached_property
+    def affine_basis(self) -> tuple[np.ndarray, ...]:
+        """(I, P_1, ..., P_M), the basis of the affine span the family's states live in."""
+        return (np.eye(self.dim, dtype=complex), *self.observables)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Frobenius Gram matrix of affine_basis, G_ab = Re Tr(S_a^dag S_b)."""
+        basis = self.affine_basis
+        return np.array([[frobenius(x, y).real for y in basis] for x in basis])
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -315,8 +321,8 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
     halved (up to 60 times) until the max-norm residual decreases.  For a
     single observable an out-of-range target raises immediately, and a
     monotone bisection takes over when Newton meets a singular response
-    matrix, stalls, or runs out of iterations.  A negative tol or a max_iter
-    below 1 raises ValidationError.
+    matrix, stalls, or runs out of iterations.  A negative tol, or a max_iter
+    that is not an integer of at least 1, raises ValidationError.
     """
     _check_fit_settings(tol, max_iter)
     point, info = _fit_point(_as_relevant(observables), target, beta_init, tol, max_iter)
@@ -326,6 +332,8 @@ def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: 
 def _check_fit_settings(tol: float, max_iter: int) -> None:
     if not tol >= 0.0:
         raise ValidationError(f"fit tolerance must be nonnegative, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral):
+        raise ValidationError(f"fit max_iter must be an integer, got {max_iter!r}")
     if not max_iter >= 1:
         raise ValidationError(f"fit max_iter must be at least 1, got {max_iter}")
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -132,6 +132,13 @@ def _as_int(value, what: str) -> int:
             if out == value or isinstance(value, str):
                 return out
     raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_bool(value, what: str) -> bool:
+    """A YAML boolean; strings, numbers and null are refused rather than read for truth."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _parse_entry(entry, what: str) -> complex:
@@ -312,7 +319,7 @@ def build_ansatz(section, model: ModelBundle) -> AnsatzFamily:
 
 def build_config(section) -> StrobConfig:
     section = dict(_require_map(section, "strob"))
-    _known_keys(section, {"lambda", "dt", "horizon", "alpha", "ode_step", "fd_step"}, "strob")
+    _known_keys(section, {"lambda", "dt", "horizon", "alpha", "ode_step"}, "strob")
     for key in ("dt", "horizon"):
         if key not in section:
             raise ConfigError(f"strob is missing the required key {key!r}")
@@ -325,8 +332,6 @@ def build_config(section) -> StrobConfig:
         kwargs["alpha"] = _as_float(section["alpha"], "strob.alpha")
     if section.get("ode_step") is not None:
         kwargs["ode_step"] = _as_float(section["ode_step"], "strob.ode_step")
-    if section.get("fd_step") is not None:
-        kwargs["fd_step"] = _as_float(section["fd_step"], "strob.fd_step")
     try:
         return StrobConfig(**kwargs)
     except ValidationError as err:
@@ -482,8 +487,7 @@ def _scenario_context(scenario: dict, dt_override: float | None = None):
     family = build_ansatz(scenario["ansatz"], model)
     checks = dict(_require_map(scenario.get("checks", {}) or {}, "checks"))
     _known_keys(checks, {"fd_mode", "generic_vs_analytic"}, "checks")
-    if checks.get("fd_mode"):
-        cfg = replace(cfg, fd_check=True)
+    checks = {key: _as_bool(value, f"checks.{key}") for key, value in checks.items()}
     return model, family, cfg, checks
 
 
@@ -493,7 +497,7 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
     protocols = _check_protocols(scenario.get("protocols"), model, family)
     output = dict(_require_map(scenario.get("output", {}) or {}, "output"))
     _known_keys(output, {"emit_beta"}, "output")
-    emit_beta = bool(output.get("emit_beta", False))
+    emit_beta = _as_bool(output.get("emit_beta", False), "output.emit_beta")
     if "initial" not in scenario:
         raise ConfigError("scenario is missing the required key 'initial'")
     E0, beta_probe = build_initial(scenario["initial"], family)
@@ -519,8 +523,10 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
         summary[f"tau_{proto}"] = tau
         diagnostics[f"final_step_delta_{proto}"] = (
             float(np.linalg.norm(traj.params[-1] - traj.params[-2])) if len(traj) > 1 else 0.0)
-        if "fd_gradient_deviation" in traj.meta:
-            diagnostics[f"fd_gradient_deviation_{proto}"] = traj.meta["fd_gradient_deviation"]
+        if proto == "ode2" and checks.get("fd_mode"):
+            limit, E = ContinuumLimit(model.generator, family, cfg), traj.params[-1]
+            diagnostics["fd_gradient_deviation_ode2"] = float(np.max(np.abs(
+                limit.fd_gradient(E) - limit.moments(E)[2])))
     for i, p1 in enumerate(protocols):
         for p2 in protocols[i + 1:]:
             diagnostics[f"deviation_{p1}_vs_{p2}"] = _grid_deviation(trajectories[p1],
@@ -644,8 +650,7 @@ def cmd_analyze_invariance(scenario: dict, out_dir: str) -> int:
     diagnostics: dict = {}
     if "initial" in scenario:
         E0, _ = build_initial(scenario["initial"], family)
-        # fd_mode switches only the ode2 protocol to the fd gradient; the bracket stays analytic
-        a, b, W = ContinuumLimit(model.generator, family, replace(cfg, fd_check=False)).moments(E0)
+        a, b, W = ContinuumLimit(model.generator, family, cfg).moments(E0)
         report["bracket_norm"] = float(np.max(np.abs(b - W @ a)))
         if result.invariant:
             # closure predicts the velocity affinely: a_m = L[m+1, 0] + sum_j L[m+1, j+1] E_j
@@ -696,6 +701,9 @@ def main(argv=None) -> int:
         return handlers[args.command](scenario, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"config error: cannot write outputs: {err}", file=sys.stderr)
         return 2
     except ThermostrobeError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,7 +20,7 @@ map E -> beta is solved only once, for the initial point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, isfinite
 
@@ -49,6 +49,7 @@ from .matcore import frobenius
 
 STEP_CAP_DEFAULT = 10_000_000
 GRID_TOL = 1e-9
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,9 @@ class StrobConfig:
     horizon: float = 1.0
     alpha: float | None = None
     ode_step: float | None = None
-    fd_check: bool = False
-    fd_step: float = 1e-5
 
     def __post_init__(self) -> None:
-        for name in ("lam", "dt", "horizon", "alpha", "ode_step", "fd_step"):
+        for name in ("lam", "dt", "horizon", "alpha", "ode_step"):
             value = getattr(self, name)
             if value is not None and not isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -92,8 +91,6 @@ class StrobConfig:
             raise ValidationError(
                 f"ode_step {self.ode_step} must lie in (0, dt={self.dt}]"
             )
-        if not (self.fd_step > 0.0):
-            raise ValidationError(f"fd_step must be positive, got {self.fd_step}")
 
     def n_steps(self) -> int:
         steps = self.horizon / self.dt
@@ -174,8 +171,8 @@ class ContinuumLimit:
 
     <A_m> and <B_m> are the expectations of the Heisenberg images
     A_m = L*(P_m) and B_m = L*(A_m), built once, and W_mj = d<A_m>/dE_j is
-    the velocity gradient along the family: analytic, or central differences
-    of <A> with step cfg.fd_step when cfg.fd_check.  Gibbs fits are
+    the velocity gradient along the family, always analytic; fd_gradient gives
+    its central-difference counterpart as a check.  Gibbs fits are
     warm-started from the previous fit, and their exponents are kept in order
     in fitted.  At a Gibbs point the gradient is taken in beta,
     G = d<A>/dbeta, and W = G J^-1.  When the Gibbs observables commute every
@@ -220,11 +217,46 @@ class ContinuumLimit:
 
     def moments(self, E, gradient: bool = True):
         """(<A>, <B>, W) at parameters E; W is None without gradient."""
-        return self._moments(_as_params(E, self.family.size), gradient, self.cfg.fd_check)
+        E = _as_params(E, self.family.size)
+        M = self.family.size
+        if self._gibbs:
+            point = self._point(E)
+            a, b, G = self.gibbs_moments(point, gradient)
+            return a, b, G @ point.response_inverse() if gradient else None
+        if self._linear:
+            self.family.feasible_block(E)
+            offset, slope = self._table
+            ab = offset + slope @ E
+            return ab[:M], ab[M:], slope[:M] if gradient else None
+        ab = np.einsum("mab,ab->m", self._images.conj(), self.family.state_of(E)).real
+        W = np.einsum("mab,jab->mj", self._images[:M].conj(),
+                      self.family.derivative_of(E)).real if gradient else None
+        return ab[:M], ab[M:], W
 
     def gibbs_moments(self, point: _GibbsPoint, gradient: bool = True):
         """(<A>, <B>, G) at a Gibbs point, G_mn = d<A_m>/dbeta_n; G is None without gradient."""
-        return self._gibbs_moments(point, gradient, self.cfg.fd_check)
+        M = self.family.size
+        X = self._images if point.diagonal else _rotate(point.U, self._images, diagonal=False)
+        ab = point.expect(X)
+        return ab[:M], ab[M:], point.expect_derivative(X[:M]) if gradient else None
+
+    def fd_gradient(self, E) -> np.ndarray:
+        """Central differences of <A> with step FD_STEP, a check on the analytic W of
+        moments: along beta and mapped back by J^-1 for a Gibbs family, of the affine
+        table for a linear family (so only E itself must be feasible), else of moments."""
+        E = _as_params(E, self.family.size)
+        M = self.family.size
+        if self._gibbs:
+            point = self._point(E)
+            relevant = self.family.relevant
+            G = _central_difference(
+                lambda beta: self.gibbs_moments(_GibbsPoint(relevant, beta), False)[0], point.beta)
+            return G @ point.response_inverse()
+        if self._linear:
+            self.family.feasible_block(E)
+            offset, slope = self._table
+            return _central_difference(lambda x: offset[:M] + slope[:M] @ x, E)
+        return _central_difference(lambda x: self.moments(x, False)[0], E)
 
     def velocity(self, E, order: int) -> np.ndarray:
         """dE/dt at E: lam <A> for order 1, with the finite-reset correction for order 2."""
@@ -238,52 +270,10 @@ class ContinuumLimit:
         dE = self.cfg.lam * a if order == 1 else _second_order(self.cfg, a, b, G @ J_inv)
         return J_inv @ dE
 
-    def _gibbs_moments(self, point: _GibbsPoint, gradient: bool, fd: bool):
-        M = self.family.size
-        X = self._images if point.diagonal else _rotate(point.U, self._images, diagonal=False)
-        ab = point.expect(X)
-        if not gradient:
-            G = None
-        elif fd:
-            relevant = self.family.relevant
-            G = _central_difference(
-                lambda beta: self._gibbs_moments(_GibbsPoint(relevant, beta), False, False)[0],
-                point.beta, self.cfg.fd_step)
-        else:
-            G = point.expect_derivative(X[:M])
-        return ab[:M], ab[M:], G
 
-    def _moments(self, E: np.ndarray, gradient: bool, fd: bool):
-        M = self.family.size
-        if self._gibbs:
-            point = self._point(E)
-            a, b, G = self._gibbs_moments(point, gradient, fd)
-            return a, b, G @ point.response_inverse() if gradient else None
-        analytic = gradient and not fd
-        if self._linear:
-            self.family.feasible_block(E)
-            offset, slope = self._table
-            ab = offset + slope @ E
-            a, b, W = ab[:M], ab[M:], slope[:M] if analytic else None
-        else:
-            rho = self.family.state_of(E)
-            W = np.einsum("mab,jab->mj", self._images[:M].conj(),
-                          self.family.derivative_of(E)).real if analytic else None
-            ab = np.einsum("mab,ab->m", self._images.conj(), rho).real
-            a, b = ab[:M], ab[M:]
-        if gradient and fd:
-            W = _central_difference(lambda x: self._moments(x, False, False)[0], E, self.cfg.fd_step)
-        return a, b, W
-
-
-def _central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
+def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Matrix whose column j is (f(x + h e_j) - f(x - h e_j)) / 2h."""
-    cols = []
-    for j in range(len(x)):
-        bump = np.zeros(len(x))
-        bump[j] = h
-        cols.append((f(x + bump) - f(x - bump)) / (2.0 * h))
-    return np.array(cols).T
+    return np.array([(f(x + bump) - f(x - bump)) / (2.0 * h) for bump in h * np.eye(len(x))]).T
 
 
 def _second_order(cfg: StrobConfig, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -300,10 +290,9 @@ def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cf
     """Temperature form of the second-order velocity, dbeta/dt = -(beta^2 / C) dE/dt.
 
     With the heat capacity C = -beta^2 J this is the natural-coordinate
-    velocity J^-1 dE/dt that run_ode_temperature integrates (with the
-    analytic gradient); in this form it is undefined at beta = 0 (DomainError),
-    where C vanishes while J stays finite, and a vanishing C raises
-    SingularityError."""
+    velocity J^-1 dE/dt that run_ode_temperature integrates; in this form it
+    is undefined at beta = 0 (DomainError), where C vanishes while J stays
+    finite, and a vanishing C raises SingularityError."""
     _require_canonical(family, "the temperature velocity")
     beta = float(beta)
     if beta == 0.0:
@@ -312,7 +301,7 @@ def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cf
     C = -(beta**2) * point.jacobian[0, 0]
     if C < 1e-15 * (1.0 + beta * beta):
         raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
-    return float(ContinuumLimit(gen, family, replace(cfg, fd_check=False)).beta_velocity(point, 2)[0])
+    return float(ContinuumLimit(gen, family, cfg).beta_velocity(point, 2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +345,7 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
     """Integrate the continuum-limit parameter velocity, sampled on the dt grid.
 
     A Gibbs family is integrated in beta from the one fit of E0 (the first
-    row stays E0, the others are E(beta)); other families are integrated in E.
-    With cfg.fd_check the order-2 velocity uses the finite-difference gradient
-    W, and meta records its largest deviation from the analytic W at the
-    final point."""
+    row stays E0, the others are E(beta)); other families are integrated in E."""
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
     limit = ContinuumLimit(gen, family, cfg)
@@ -371,21 +357,16 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
             traj.temps = None
     else:
         traj = integrate(lambda E: limit.velocity(E, order), E0, cfg)
-    mode = ("fd" if cfg.fd_check else "analytic") if order == 2 else "none"
-    traj.meta = {"protocol": f"ode{order}", **traj.meta, "gradient_mode": mode}
-    if cfg.fd_check and order == 2:
-        W_fd, W = (limit._moments(traj.params[-1], True, fd)[2] for fd in (True, False))
-        traj.meta["fd_gradient_deviation"] = float(np.max(np.abs(W_fd - W)))
+    traj.meta = {"protocol": f"ode{order}", **traj.meta}
     return traj
 
 
 def run_ode_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta0: float,
                         cfg: StrobConfig) -> Trajectory:
     """Integrate the second-order velocity in beta for a canonical Gibbs family,
-    from a given inverse temperature: run_ode's Gibbs route without the fit,
-    always with the analytic gradient."""
+    from a given inverse temperature: run_ode's Gibbs route without the fit."""
     _require_canonical(family, "the temperature velocity")
-    limit = ContinuumLimit(gen, family, replace(cfg, fd_check=False))
+    limit = ContinuumLimit(gen, family, cfg)
     traj = _gibbs_walk(limit, np.array([float(beta0)]), 2)
     traj.meta = {"protocol": "ode-temperature", **traj.meta}
     return traj
@@ -414,13 +395,8 @@ def invariant_subspace_matrix(gen: GkslGenerator, observables, tol: float = 1e-1
     identically on the family.
     """
     relevant = _as_relevant(observables)
-    d = relevant.dim
-    basis = [np.eye(d, dtype=complex), *relevant.observables]
+    basis, G = relevant.affine_basis, relevant.gram
     n = len(basis)
-    G = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            G[a, b] = frobenius(basis[a], basis[b]).real
     L = np.zeros((n, n))
     residual_sq = 0.0
     for i, S in enumerate(basis):

@@ -215,8 +215,10 @@ def test_fit_beta_validates_target_shape():
         fit_beta((N_OP,), [0.3, 0.4])
 
 
-@pytest.mark.parametrize("tol, max_iter", [(-1.0, 200), (1e-10, 0), (1e-10, -3)],
-                         ids=["negative-tol", "zero-max-iter", "negative-max-iter"])
+@pytest.mark.parametrize("tol, max_iter",
+                         [(-1.0, 200), (1e-10, 0), (1e-10, -3), (1e-10, 2.7), (1e-10, True)],
+                         ids=["negative-tol", "zero-max-iter", "negative-max-iter",
+                              "fractional-max-iter", "bool-max-iter"])
 def test_fit_settings_are_validated(tol, max_iter):
     with pytest.raises(ValidationError, match="fit"):
         fit_beta((N_OP,), [0.3], tol=tol, max_iter=max_iter)

@@ -215,6 +215,42 @@ def test_multilevel_malformed_lists_are_config_errors(tmp_path, capsys, key, val
     assert f"config error: model.{key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("output", "emit_beta", "false"),
+    ("output", "emit_beta", 0),
+    ("checks", "fd_mode", "yes"),
+    ("checks", "generic_vs_analytic", None),
+], ids=["string-emit-beta", "integer-emit-beta", "string-fd-mode", "null-generic-vs-analytic"])
+def test_scenario_switches_must_be_booleans(tmp_path, capsys, section, key, value):
+    sc = variant(QUBIT_BASE, checks={})
+    sc[section][key] = value
+    path = scenario_file(tmp_path, sc)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {section}.{key} must be true or false" in capsys.readouterr().err
+
+
+def test_strob_fd_step_is_an_unknown_key(tmp_path, capsys):
+    sc = variant(QUBIT_BASE, strob={"dt": 0.1, "horizon": 0.5, "fd_step": 1e-5})
+    path = scenario_file(tmp_path, sc)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: unknown keys in strob: fd_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["out-dir-is-a-file", "out-dir-below-a-file",
+                                     "output-is-a-directory"])
+def test_unusable_out_dir_is_config_error(tmp_path, capsys, blocked):
+    path = scenario_file(tmp_path, QUBIT_BASE)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {"out-dir-is-a-file": taken, "out-dir-below-a-file": taken / "out"}.get(blocked)
+    if out is None:
+        out = tmp_path / "out"
+        (out / "mini_discrete.csv").mkdir(parents=True)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write outputs:") and "Traceback" not in err
+
+
 def test_simulate_complex_matrix_entries(tmp_path):
     sc = {
         "name": "cplx",

@@ -8,11 +8,9 @@ generators and families, and infeasible points are checked to fail as
 state_of fails.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thermostrobe import (
     ContinuumLimit,
@@ -26,6 +24,7 @@ from thermostrobe import (
     frobenius,
     run_ode,
 )
+from thermostrobe.strob import FD_STEP
 from tutil import random_density, random_generator
 
 TOL = 1e-12
@@ -71,15 +70,14 @@ def check_table(rng, fam):
     gen = random_generator(rng, d)
     a, b, W, scale = dense_moments(gen, fam, E)
     limit = ContinuumLimit(gen, fam, CFG)
-    fd = ContinuumLimit(gen, fam, replace(CFG, fd_check=True))
     assert_close(limit.moments(E, gradient=False)[0], a, scale)
     assert_close(limit.moments(E, gradient=False)[1], b, scale)
     assert_close(limit.moments(E)[2], W, scale)
     assert_close(limit.velocity(E, 1), CFG.lam * a, scale)
     assert_close(limit.velocity(E, 2),
                  CFG.lam * a + 0.5 * CFG.alpha * (b - W @ a), scale * (1.0 + np.max(np.abs(W))))
-    # fd mode differentiates the same table; central differences of an affine map
-    assert np.max(np.abs(fd.moments(E)[2] - W)) <= 1e-8 * scale
+    # fd_gradient differences the same table; central differences of an affine map
+    assert np.max(np.abs(limit.fd_gradient(E) - W)) <= 1e-8 * scale
 
     # a negative diagonal coordinate leaves the domain; every path reports it as state_of does
     bad = E.copy()
@@ -88,7 +86,7 @@ def check_table(rng, fam):
         fam.state_of(bad)
     for call in (lambda: limit.moments(bad, gradient=False),
                  lambda: limit.moments(bad),
-                 lambda: fd.moments(bad),
+                 lambda: limit.fd_gradient(bad),
                  lambda: limit.velocity(bad, 2)):
         with pytest.raises(DomainError) as err:
             call()
@@ -97,9 +95,24 @@ def check_table(rng, fam):
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
+@example(4, 2094)  # a draw with an eigenvalue 1.2e-6 from the PSD boundary
 def test_pinching_table_matches_dense_path(d, seed):
     rng = np.random.default_rng(seed)
     check_table(rng, random_pinching(rng, d))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-7, 0.5 * FD_STEP])
+def test_fd_gradient_at_the_pinching_boundary(offset):
+    # the populations (offset, 0.3, 0.7 - offset): E lies within FD_STEP of the
+    # PSD boundary, where a bumped point would not be feasible
+    fam = PinchingAnsatz(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    E = np.array([offset, 0.3])
+    gen = random_generator(np.random.default_rng(5), 3)
+    limit = ContinuumLimit(gen, fam, CFG)
+    with pytest.raises(DomainError):
+        fam.state_of(E - [FD_STEP, 0.0])
+    W = dense_moments(gen, fam, E)[2]
+    assert np.max(np.abs(limit.fd_gradient(E) - W)) <= 1e-8 * (1.0 + np.max(np.abs(W)))
 
 
 @settings(deadline=None, max_examples=30)

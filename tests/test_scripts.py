@@ -1,15 +1,27 @@
-"""The scripts in scripts/ still import against the package API.
+"""The scripts in scripts/ and the README's examples still run against the package API.
 
-Each module is loaded without calling its main(), so a removed or renamed
-name fails here at almost no cost instead of only when the script is run.
+Each script module is loaded without calling its main(), so a removed or
+renamed name fails here at almost no cost instead of only when the script
+is run.  The README's python blocks are executed, and its scenario-format
+block is run through the CLI.
 """
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+from thermostrobe.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
+README = (REPO / "README.md").read_text(encoding="utf-8")
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README, flags=re.S | re.M)
 
 
 def test_scripts_exist():
@@ -22,3 +34,22 @@ def test_script_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_readme_python_examples_run(capsys):
+    blocks = readme_blocks("python")
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["W_fd"].shape == namespace["W"].shape == (1, 1)
+
+
+def test_readme_scenario_format_runs(tmp_path, capsys):
+    (block,) = readme_blocks("yaml")
+    path = tmp_path / "readme.yaml"
+    path.write_text(block, encoding="utf-8")
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "qubit_standard_summary.json").read_text())
+    assert summary["protocols"] == ["discrete", "ode2", "closed-form"]
+    assert "generic_vs_analytic_A" in summary["diagnostics"]

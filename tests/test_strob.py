@@ -17,6 +17,7 @@ from thermostrobe import (
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Z,
+    SelectiveAnsatz,
     SingularityError,
     StrobConfig,
     Trajectory,
@@ -42,6 +43,7 @@ from thermostrobe import (
     run_ode_temperature,
 )
 from thermostrobe.cli import _scenario_context, estimate_tau, load_scenario
+from tutil import random_generator
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -94,8 +96,6 @@ def test_config_validation_errors():
         StrobConfig(dt=0.1, horizon=1.0, lam=-0.5)
     with pytest.raises(ValidationError):
         StrobConfig(dt=0.1, horizon=1.0, ode_step=0.2)
-    with pytest.raises(ValidationError):
-        StrobConfig(dt=0.1, horizon=1.0, fd_step=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -194,10 +194,21 @@ def test_relevant_curvature_matches_analytic():
 def test_velocity_gradient_fd_matches_analytic():
     gen = qubit_generator(DRIVEN)
     fam = qubit_family(tol=1e-13)
-    cfg = StrobConfig(fd_step=1e-5)
-    W_an = ContinuumLimit(gen, fam, cfg).moments([0.4])[2]
-    W_fd = ContinuumLimit(gen, fam, replace(cfg, fd_check=True)).moments([0.4])[2]
+    limit = ContinuumLimit(gen, fam, StrobConfig())
+    W_an = limit.moments([0.4])[2]
+    W_fd = limit.fd_gradient([0.4])
     assert np.max(np.abs(W_an - W_fd)) <= 1e-8
+
+
+@pytest.mark.parametrize("family, E", [
+    (GibbsAnsatz([SIGMA_Z, SIGMA_X]), [0.3, 0.2]),
+    (SelectiveAnsatz(np.diag([1.0, 1.0, -1.0]).astype(complex), 1.0), [0.3, 0.05, -0.02, 0.25]),
+], ids=["gibbs-noncommuting", "selective"])
+def test_fd_gradient_matches_analytic_off_the_spectral_path(family, E):
+    rng = np.random.default_rng(7)
+    limit = ContinuumLimit(random_generator(rng, family.dim), family, StrobConfig())
+    W = limit.moments(E)[2]
+    assert np.max(np.abs(limit.fd_gradient(E) - W)) <= 1e-8 * (1.0 + np.max(np.abs(W)))
 
 
 def test_second_order_reduces_to_first_without_drive():
@@ -316,7 +327,6 @@ def test_run_ode_metadata_and_grid():
     assert np.allclose(tr.times, np.arange(11) * 0.1, atol=1e-12)
     assert tr.meta["protocol"] == "ode2"
     assert tr.meta["substeps"] == 10
-    assert tr.meta["gradient_mode"] == "analytic"
     assert tr.temps is not None
     with pytest.raises(ValidationError):
         run_ode(gen, fam, [0.5], cfg, order=3)
@@ -331,22 +341,13 @@ def test_run_ode_orders_differ_under_drive():
     assert np.max(np.abs(t1.params - t2.params)) > 1e-4
 
 
-def test_run_ode_fd_gradient_agrees_with_analytic():
+def test_fd_gradient_deviation_at_ode2_final_row():
     gen = qubit_generator(DRIVEN)
     fam = qubit_family(tol=1e-13)
-    cfg = StrobConfig(dt=0.1, horizon=0.5)
-    t_an = run_ode(gen, fam, [0.5], cfg, order=2)
-    t_fd = run_ode(gen, fam, [0.5], replace(cfg, fd_check=True), order=2)
-    assert np.max(np.abs(t_an.params - t_fd.params)) <= 1e-8
-    assert t_fd.meta["gradient_mode"] == "fd"
-
-
-def test_run_ode_fd_check_reports_deviation():
-    gen = qubit_generator(DRIVEN)
-    fam = qubit_family(tol=1e-13)
-    cfg = StrobConfig(dt=0.1, horizon=0.3, fd_check=True)
-    tr = run_ode(gen, fam, [0.5], cfg, order=2)
-    assert 0.0 < tr.meta["fd_gradient_deviation"] <= 1e-7
+    cfg = StrobConfig(dt=0.1, horizon=0.3)
+    E = run_ode(gen, fam, [0.5], cfg, order=2).params[-1]
+    limit = ContinuumLimit(gen, fam, cfg)
+    assert 0.0 < np.max(np.abs(limit.fd_gradient(E) - limit.moments(E)[2])) <= 1e-7
 
 
 def test_run_ode_temperature_matches_energy_route():

@@ -200,8 +200,13 @@ class _GibbsPoint:
         """G_mn = Tr(X_m d rho / d beta_n) for operators given in this point's basis."""
         if self.diagonal:
             return -(X * self.q) @ (self.P - self.E[:, None]).T
-        G = np.einsum("mji,ij,nij->mn", X, exp_neg_kernel(self.k), self.P).real / self.Z
+        G = np.einsum("mji,ij,nij->mn", X, self._kernel, self.P).real / self.Z
         return G + np.outer(self.expect(X), self.E)
+
+    @cached_property
+    def _kernel(self) -> np.ndarray:
+        """Daleckii-Krein kernel of exp(-k), shared by every derivative at this point."""
+        return exp_neg_kernel(self.k)
 
     @cached_property
     def jacobian(self) -> np.ndarray:
@@ -240,7 +245,7 @@ class _GibbsPoint:
         """Stack of d rho / d beta_n from the Daleckii-Krein kernel of exp(-K);
         it is -U diag(q (w_n - E_n)) U^dag when the observables commute."""
         P = np.einsum("mi,ij->mij", self.P, np.eye(len(self.q))) if self.diagonal else self.P
-        inner = exp_neg_kernel(self.k) * P / self.Z + self.E[:, None, None] * np.diag(self.q)
+        inner = self._kernel * P / self.Z + self.E[:, None, None] * np.diag(self.q)
         Ud = self.U.conj().T
         return np.array([hermitize(self.U @ D @ Ud) for D in inner])
 
@@ -535,18 +540,23 @@ class _BlockCoords:
         self._flat_D = self.D.reshape(len(self.P), d * d)
 
     def assemble(self, E: np.ndarray, trace: float | None) -> np.ndarray:
-        S = (E @ self._flat_D).reshape(self.D.shape[1:])
+        """The matrix of coordinates E, or the stack of matrices of coordinate rows E (n, M)."""
+        S = (E @ self._flat_D).reshape(E.shape[:-1] + self.D.shape[1:])
         if self.dropped_index is not None:
             if trace is None:
                 raise ValidationError("a trace is required to recover the dropped diagonal entry")
-            S[self.dropped_index, self.dropped_index] += trace
+            S[..., self.dropped_index, self.dropped_index] += trace
         return S
 
 
 def _block_psd_check(S: np.ndarray, what: str) -> None:
-    wmin = float(np.linalg.eigvalsh(hermitize(S)).min())
-    if wmin < PSD_FLOOR * scale_of(S):
-        raise DomainError(f"{what} lies outside the feasible domain: eigenvalue {wmin:.3e} < 0")
+    """DomainError when S, or the first matrix of a stack S (n, d, d), has an
+    eigenvalue below PSD_FLOOR * scale_of; one batched eigvalsh for a stack."""
+    wmin = np.linalg.eigvalsh(hermitize(S))[..., 0]
+    bad = np.flatnonzero(wmin < PSD_FLOOR * (1.0 + np.abs(S).max(axis=(-2, -1))))
+    if bad.size:
+        raise DomainError(f"{what} lies outside the feasible domain: "
+                          f"eigenvalue {wmin.flat[bad[0]]:.3e} < 0")
 
 
 class _LinearAnsatz(AnsatzFamily):
@@ -563,8 +573,11 @@ class _LinearAnsatz(AnsatzFamily):
         """The full-space operator of a block-coordinate matrix S."""
 
     def feasible_block(self, E) -> np.ndarray:
-        """The block-coordinate matrix S(E); DomainError when it is not PSD."""
-        S = self._coords.assemble(_as_params(E, self.size), trace=1.0)
+        """The block-coordinate matrix S(E); DomainError when it is not PSD.  Rows E
+        (n, M) give the stack of their matrices, checked in one batch, and the error
+        reports the first row that is not PSD."""
+        E = np.asarray(E, dtype=float)
+        S = self._coords.assemble(E if E.ndim == 2 else _as_params(E, self.size), trace=1.0)
         _block_psd_check(S, self._domain)
         return S
 

@@ -77,8 +77,8 @@ def require_hermitian(M, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Symmetrize away the roundoff-level anti-Hermitian part."""
-    return 0.5 * (M + M.conj().T)
+    """Symmetrize away the roundoff-level anti-Hermitian part (of each matrix of a stack)."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
 
 
 def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:

@@ -50,6 +50,7 @@ from .matcore import frobenius
 STEP_CAP_DEFAULT = 10_000_000
 GRID_TOL = 1e-9
 FD_STEP = 1e-5
+STAGE_BATCH = 64  # RK4 steps whose stage points one batched feasibility check covers
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,12 @@ class StrobConfig:
             raise ValidationError(
                 f"ode_step {self.ode_step} must lie in (0, dt={self.dt}]"
             )
+        else:
+            steps = self.dt / self.ode_step
+            if not isfinite(steps):
+                raise CapacityError(f"ode_step {self.ode_step} needs {steps} steps per dt={self.dt}")
+            if abs(round(steps) * self.ode_step - self.dt) > GRID_TOL * max(1.0, self.dt):
+                raise ValidationError(f"ode_step {self.ode_step} does not divide dt={self.dt}")
 
     def n_steps(self) -> int:
         steps = self.horizon / self.dt
@@ -316,11 +323,16 @@ def rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_grid(cfg: StrobConfig) -> tuple[int, float]:
+    """RK4 steps per dt interval and their step h = dt / steps (ode_step divides dt)."""
+    n_sub = max(1, round(cfg.dt / cfg.ode_step))
+    return n_sub, cfg.dt / n_sub
+
+
 def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
     """Classic fourth-order Runge-Kutta over cfg.horizon, sampled on the dt
     grid with dt / ode_step steps per interval; rhs maps an array to an array."""
-    n_sub = max(1, round(cfg.dt / cfg.ode_step))
-    h = cfg.dt / n_sub
+    n_sub, h = _rk4_grid(cfg)
 
     def advance(x: np.ndarray) -> np.ndarray:
         for _ in range(n_sub):
@@ -329,6 +341,48 @@ def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
 
     times, rows = _walk(np.atleast_1d(np.asarray(x0, dtype=float)), cfg.n_steps(), cfg.dt, advance, n_sub)
     return Trajectory(times, rows, meta={"ode_step": h, "substeps": n_sub})
+
+
+def _affine_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
+    """integrate's RK4 for a linear family, whose velocity is affine: on x = (E, 1)
+    it is x -> aug x with aug = [[K, c], [0, 0]], so every RK4 stage is a fixed matrix.
+
+    A step from x evaluates the velocity at the stage points P_k x, with P1 = I,
+    P2 = I + (h/2) aug, P3 = I + (h/2) aug P2, P4 = I + h aug P3, and lands on R x,
+    R = I + (h/6) aug (P1 + 2 P2 + 2 P3 + P4).  Each interval maps its stage points
+    P_k R^s x at once, checks them all for feasibility in one batch (the first
+    infeasible stage raises state_of's DomainError) and advances by R^n_sub, in
+    chunks of at most STAGE_BATCH steps so the stage tensor stays small.
+    """
+    cfg = limit.cfg
+    n_sub, h = _rk4_grid(cfg)
+    M = len(E0)
+    offset, slope = limit._table
+    columns = np.column_stack([slope, offset])  # moments (<A>, <B>) of x = (E, 1)
+    a, b = columns[:M], columns[M:]
+    aug = np.zeros((M + 1, M + 1))
+    aug[:M] = cfg.lam * a if order == 1 else _second_order(cfg, a, b, slope[:M])
+    eye = np.eye(M + 1)
+    P2 = eye + (0.5 * h) * aug
+    P3 = eye + (0.5 * h) * aug @ P2
+    P4 = eye + h * aug @ P3
+    step = eye + (h / 6.0) * aug @ (eye + 2.0 * P2 + 2.0 * P3 + P4)
+    batch = min(n_sub, STAGE_BATCH)
+    powers = [eye]
+    for _ in range(batch):
+        powers.append(step @ powers[-1])
+    stages = np.array([P @ Rs for Rs in powers[:batch] for P in (eye, P2, P3, P4)])[:, :M]
+    full, rest = divmod(n_sub, batch)
+    counts = [batch] * full + ([rest] if rest else [])
+
+    def advance(x: np.ndarray) -> np.ndarray:
+        for count in counts:
+            limit.family.feasible_block(stages[:4 * count] @ x)
+            x = powers[count] @ x
+        return x
+
+    times, rows = _walk(np.append(E0, 1.0), cfg.n_steps(), cfg.dt, advance, n_sub)
+    return Trajectory(times, rows[:, :M], meta={"ode_step": h, "substeps": n_sub})
 
 
 def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, order: int) -> Trajectory:
@@ -345,7 +399,8 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
     """Integrate the continuum-limit parameter velocity, sampled on the dt grid.
 
     A Gibbs family is integrated in beta from the one fit of E0 (the first
-    row stays E0, the others are E(beta)); other families are integrated in E."""
+    row stays E0, the others are E(beta)); a linear family by the exact RK4
+    maps of its affine velocity (_affine_walk); other families in E."""
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
     limit = ContinuumLimit(gen, family, cfg)
@@ -355,6 +410,8 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
         traj.params[0] = E0
         if not with_temps:
             traj.temps = None
+    elif limit._linear:
+        traj = _affine_walk(limit, E0, order)
     else:
         traj = integrate(lambda E: limit.velocity(E, order), E0, cfg)
     traj.meta = {"protocol": f"ode{order}", **traj.meta}

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.linalg import expm
 
 from thermostrobe import strob
 from thermostrobe.cli import load_scenario, main
@@ -181,6 +182,69 @@ FACTORIZED_BASE = {
 }
 
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+SIGMA_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|, level 0 decays
+
+
+def test_simulate_factorized_ode_rows_match_exact_affine_solution(tmp_path):
+    # qubit system x two-level bath; the factorized family's velocity is affine in
+    # E = (rho_S[0,0], 2 Re rho_S[0,1], 2 Im rho_S[0,1]), so dx/dt = aug x on x = (E, 1)
+    eye2 = np.eye(2)
+    H = (np.kron(0.5 * np.diag([1.0, -1.0]) + 0.3 * SIGMA_X, eye2) + np.kron(eye2, np.diag([0.0, 0.8]))
+         + 0.2 * np.kron(SIGMA_X, SIGMA_X))
+    jumps = [(np.kron(SIGMA_LOWER, eye2), 0.4), (np.kron(SIGMA_LOWER.T, eye2), 0.1),
+             (np.kron(eye2, SIGMA_LOWER), 0.3)]
+    rho_B = np.diag([0.7, 0.3])
+    E0, lam, dt, horizon = np.array([0.6, 0.2, -0.1]), 1.0, 0.1, 1.0
+    sc = {
+        "name": "fact",
+        "model": {"kind": "custom-gksl", "hamiltonian": H.tolist(),
+                  "jumps": [{"operator": L.tolist(), "rate": g} for L, g in jumps]},
+        "ansatz": {"kind": "factorized", "bath_state": rho_B.tolist(), "dims": [2, 2]},
+        "protocols": ["ode1", "ode2"],
+        "strob": {"lambda": lam, "dt": dt, "horizon": horizon},
+        "initial": {"E": E0.tolist()},
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", scenario_file(tmp_path, sc), "--out-dir", str(out)]) == 0
+
+    def adjoint(X):
+        Y = 1j * (H @ X - X @ H)
+        for L, g in jumps:
+            Y = Y + g * (L.T @ X @ L - 0.5 * (L.T @ L @ X + X @ L.T @ L))
+        return Y
+
+    A = [adjoint(np.kron(P, eye2)) for P in (np.diag([1.0, 0.0]), SIGMA_X, -SIGMA_Y)]
+    B = [adjoint(Am) for Am in A]
+    # rho_S(E) = diag(0, 1) + E_0 diag(1, -1) + E_1 sigma_x / 2 - E_2 sigma_y / 2
+    R0 = np.kron(np.diag([0.0, 1.0]), rho_B)
+    D = [np.kron(Q, rho_B) for Q in (np.diag([1.0, -1.0]), SIGMA_X / 2, -SIGMA_Y / 2)]
+
+    def pair(ops, rho):
+        return np.array([np.trace(X @ rho).real for X in ops])
+
+    a_M, b_M = (np.array([pair(ops, Dj) for Dj in D]).T for ops in (A, B))
+    a_c, b_c = pair(A, R0), pair(B, R0)
+    alpha, h = lam**2 * dt, dt / 10
+    for order in (1, 2):
+        aug = np.zeros((4, 4))
+        if order == 1:
+            aug[:3, :3], aug[:3, 3] = lam * a_M, lam * a_c
+        else:
+            aug[:3, :3] = lam * a_M + 0.5 * alpha * (b_M - a_M @ a_M)
+            aug[:3, 3] = lam * a_c + 0.5 * alpha * (b_c - a_M @ a_c)
+        x0 = np.append(E0, 1.0)
+        rows = np.loadtxt(out / f"fact_ode{order}.csv", delimiter=",", skiprows=1)
+        exact = np.array([(expm(t * aug) @ x0)[:3] for t in rows[:, 0]])
+        X = h * aug
+        step = sum(np.linalg.matrix_power(X, k) / f for k, f in enumerate((1, 1, 2, 6, 24)))
+        rk4 = np.array([(np.linalg.matrix_power(step, 10 * k) @ x0)[:3] for k in range(len(rows))])
+        rk4_err = float(np.max(np.abs(rk4 - exact)))
+        assert 0.0 < rk4_err < 1e-8
+        assert float(np.max(np.abs(rows[:, 1:] - exact))) <= rk4_err + 1e-12
+
+
 @pytest.mark.parametrize("command, scenario, section, key, value, message", [
     ("fit", "qubit_fit", "fit", "max_iter", 2.7, "fit.max_iter must be an integer"),
     ("fit", "qubit_fit", "fit", "max_iter", True, "fit.max_iter must be an integer"),
@@ -234,6 +298,13 @@ def test_strob_fd_step_is_an_unknown_key(tmp_path, capsys):
     path = scenario_file(tmp_path, sc)
     assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error: unknown keys in strob: fd_step" in capsys.readouterr().err
+
+
+def test_non_dividing_ode_step_is_config_error(tmp_path, capsys):
+    sc = variant(QUBIT_BASE, strob={"dt": 0.1, "horizon": 0.5, "ode_step": 0.07})
+    path = scenario_file(tmp_path, sc)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: invalid strob config: ode_step 0.07 does not divide dt=0.1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("blocked", ["out-dir-is-a-file", "out-dir-below-a-file",

@@ -5,8 +5,12 @@ pairs the Heisenberg images with R0 and D once per run and only checks
 feasibility at each point.  Here the table's moments, W and ode1/ode2
 velocities are compared with state_of plus Frobenius pairings on random
 generators and families, and infeasible points are checked to fail as
-state_of fails.
+state_of fails.  run_ode integrates these families by the exact RK4 maps of
+the affine velocity; its rows and its errors are compared with integrate
+driven by the per-point velocity.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from thermostrobe import (
     apply_heisenberg,
     extract_params,
     frobenius,
+    integrate,
     run_ode,
 )
 from thermostrobe.strob import FD_STEP
@@ -128,12 +133,74 @@ def test_degenerate_pinching_blocks_are_exercised(rng):
     check_table(rng, fam)
 
 
+def per_point_run(gen, fam, E0, cfg, order):
+    """integrate driven by ContinuumLimit.velocity: the reference for run_ode's linear route."""
+    limit = ContinuumLimit(gen, fam, cfg)
+    return integrate(lambda E: limit.velocity(E, order), E0, cfg)
+
+
+def step_and_domain(err):
+    """The protocol-step prefix and the domain name of a run's DomainError."""
+    match = re.match(r"(protocol step \d+ \(t = [^)]*\)): (.*) lies outside the feasible domain",
+                     str(err.value))
+    assert match, str(err.value)
+    return match.groups()
+
+
+def assert_paths_fail_alike(gen, fam, E0, cfg, order):
+    with pytest.raises(DomainError) as affine:
+        run_ode(gen, fam, E0, cfg, order=order)
+    with pytest.raises(DomainError) as reference:
+        per_point_run(gen, fam, E0, cfg, order)
+    assert step_and_domain(affine) == step_and_domain(reference)
+    return step_and_domain(affine)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["pinching", "factorized"]), st.integers(min_value=0, max_value=2**31 - 1))
+def test_run_ode_affine_route_matches_per_point_rk4(kind, seed):
+    rng = np.random.default_rng(seed)
+    fam = random_pinching(rng, int(rng.integers(2, 6))) if kind == "pinching" else \
+        random_factorized(rng, int(rng.integers(2, 4)))
+    gen = random_generator(rng, fam.dim)
+    E0 = extract_params(fam, random_density(rng, fam.dim))
+    for order in (1, 2):
+        try:
+            ref = per_point_run(gen, fam, E0, CFG, order)
+        except DomainError:
+            assert_paths_fail_alike(gen, fam, E0, CFG, order)
+            continue
+        got = run_ode(gen, fam, E0, CFG, order=order)
+        assert got.meta == {"protocol": f"ode{order}", **ref.meta}
+        np.testing.assert_array_equal(got.times, ref.times)
+        scale = 1.0 + float(np.max(np.abs(ref.params)))
+        assert float(np.max(np.abs(got.params - ref.params))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("ode_step", [0.1 / 64, 0.1 / 150], ids=["64-steps", "150-steps"])
+def test_run_ode_affine_route_over_batches_of_steps(rng, ode_step):
+    # more RK4 steps per interval than one batched stage check covers
+    fam = random_factorized(rng, 2)
+    gen = random_generator(rng, fam.dim)
+    E0 = extract_params(fam, random_density(rng, fam.dim))
+    cfg = StrobConfig(lam=1.3, dt=0.1, horizon=0.3, ode_step=ode_step)
+    ref = per_point_run(gen, fam, E0, cfg, 2)
+    got = run_ode(gen, fam, E0, cfg, order=2)
+    assert got.meta["substeps"] == ref.meta["substeps"]
+    assert float(np.max(np.abs(got.params - ref.params))) <= 1e-14 * (1.0 + np.max(np.abs(ref.params)))
+
+
+def decay_generator(rate):
+    """Jumps from level 0 to level 3 of a four-level system."""
+    decay = np.zeros((4, 4), dtype=complex)
+    decay[3, 0] = 1.0
+    return GkslGenerator(np.zeros((4, 4), dtype=complex), ((decay, rate),))
+
+
 @pytest.mark.parametrize("family", ["pinching", "factorized"])
 def test_run_ode_stage_leaving_domain_carries_step_context(family):
     # fast decay out of the first level: an RK4 stage overshoots the domain boundary
-    decay = np.zeros((4, 4), dtype=complex)
-    decay[3, 0] = 1.0
-    gen = GkslGenerator(np.zeros((4, 4), dtype=complex), ((decay, 50.0),))
+    gen = decay_generator(50.0)
     if family == "pinching":
         fam = PinchingAnsatz(np.diag([3.0, 2.0, 1.0, 0.0]))
         E0 = np.array([0.4, 0.2, 0.2])
@@ -142,5 +209,23 @@ def test_run_ode_stage_leaving_domain_carries_step_context(family):
         E0 = np.array([0.6, 0.0, 0.0])
     cfg = StrobConfig(lam=1.0, dt=0.1, horizon=0.5, ode_step=0.1)
     for order in (1, 2):
-        with pytest.raises(DomainError, match=r"protocol step \d+ \(t = .*outside the feasible domain"):
-            run_ode(gen, fam, E0, cfg, order=order)
+        assert assert_paths_fail_alike(gen, fam, E0, cfg, order)[1] == fam._domain
+
+
+def test_run_ode_interior_stage_leaving_domain_is_caught():
+    # level 0 (the pinching's dropped coordinate, population 0.2) decays at rate 25 and
+    # the RK4 step is h = 0.1: h * rate = 2.5 lies inside RK4's stability interval, so
+    # every grid row keeps population 0.2 R(-2.5)^k >= 0, but the second stage point
+    # of the first step has population 0.2 (1 - 2.5 / 2) < 0
+    gen = decay_generator(25.0)
+    fam = PinchingAnsatz(np.diag([3.0, 2.0, 1.0, 0.0]))
+    E0 = np.array([0.4, 0.2, 0.2])
+    cfg = StrobConfig(lam=1.0, dt=0.1, horizon=0.5, ode_step=0.1)
+    R = sum((-2.5) ** k / factorial for k, factorial in enumerate((1, 1, 2, 6, 24)))
+    for k in range(cfg.n_steps() + 1):
+        fam.state_of(E0 + [0.2 * (1.0 - R**k), 0.0, 0.0])  # every grid row is feasible
+    with pytest.raises(DomainError):
+        fam.state_of(E0 + [0.2 * 1.25, 0.0, 0.0])
+    for order in (1, 2):  # the span is invariant, so both orders decay alike
+        assert assert_paths_fail_alike(gen, fam, E0, cfg, order) == \
+            ("protocol step 0 (t = 0)", fam._domain)

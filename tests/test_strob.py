@@ -98,6 +98,19 @@ def test_config_validation_errors():
         StrobConfig(dt=0.1, horizon=1.0, ode_step=0.2)
 
 
+@pytest.mark.parametrize("ode_step", [0.07, 0.03])
+def test_config_ode_step_must_divide_dt(ode_step):
+    # a non-dividing step would otherwise run at dt / round(dt / ode_step): 0.1 or 0.0333
+    with pytest.raises(ValidationError, match="does not divide dt"):
+        StrobConfig(dt=0.1, horizon=1.0, ode_step=ode_step)
+    assert StrobConfig(dt=0.1, horizon=1.0, ode_step=0.1 / 3).ode_step == 0.1 / 3
+
+
+def test_config_ode_step_refuses_overflowing_ratio():
+    with pytest.raises(CapacityError, match="inf steps"):
+        StrobConfig(dt=0.1, horizon=1.0, ode_step=5e-324)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"lam": float("nan")},
     {"horizon": float("inf")},

@@ -129,6 +129,23 @@ class RelevantSet:
                 return U, np.einsum("mii->mi", rotated).real
         return None
 
+    def point_stack(self, images: np.ndarray | None = None) -> np.ndarray:
+        """The stack [P; X] a Gibbs point evaluates, with operators X (n, d, d):
+        the operators themselves, or, when the observables commute, the table
+        [w; diag(U^dag X_m U)] in their common eigenbasis U.  The table is the
+        real part of a complex array, like w: numpy sums each row of a product
+        with such a strided array in order, whatever rows are stacked with it."""
+        basis = self.spectral_basis
+        if basis is None:
+            return self.stack if images is None else np.concatenate([self.stack, images])
+        U, w = basis
+        if images is None:
+            return w
+        table = np.empty((len(w) + len(images), self.dim), dtype=complex)
+        table[:len(w)] = w
+        table[len(w):] = np.einsum("ai,mab,bi->mi", U.conj(), images, U)
+        return table.real
+
 
 def _as_relevant(observables) -> RelevantSet:
     if isinstance(observables, RelevantSet):
@@ -147,40 +164,38 @@ def _as_params(E, size: int) -> np.ndarray:
 # Generalized Gibbs states
 
 
-def _rotate(U: np.ndarray, X: np.ndarray, diagonal: bool) -> np.ndarray:
-    """Operator stack X (n, d, d) in the basis U: U^dag X_m U, or only the real
-    diagonals (n, d), which is all that pairs with operators diagonal in U."""
-    if diagonal:
-        return np.einsum("ai,mab,bi->mi", U.conj(), X, U).real
-    return U.conj().T @ X @ U
-
-
 class _GibbsPoint:
     """Every Gibbs quantity at one exponent vector beta, from one
     factorization K = (beta, P) = U diag(k) U^dag.
 
-    When the relevant observables commute, U is their cached common
-    eigenbasis and k = beta w, so nothing is diagonalized; otherwise K is
-    diagonalized once here.  Operators enter rotated into U (see _rotate):
-    as diagonals in the commuting case, as full matrices otherwise.  The
-    spectrum k is shifted to start at 0, with Z and the populations q taken
-    from the shifted weights.  A non-finite beta, or exponents so large that
-    the shifted spectrum overflows, raise DomainError.
+    The point evaluates one operator stack [P; X] (RelevantSet.point_stack,
+    by default the observables alone).  When the observables commute, U is
+    their cached common eigenbasis, k = beta w and the stack is already a
+    table of diagonals in U, so nothing is diagonalized or rotated;
+    otherwise K is diagonalized once and the whole stack is rotated into U
+    in one product.  The spectrum k is shifted to start at 0, with Z and the
+    populations q taken from the shifted weights; means holds Tr(X_m rho)
+    for every row of the stack, from one product with q.  A non-finite beta,
+    or exponents so large that the shifted spectrum overflows, raise
+    DomainError.
     """
 
-    def __init__(self, relevant: RelevantSet, beta: np.ndarray):
+    def __init__(self, relevant: RelevantSet, beta: np.ndarray, stack: np.ndarray | None = None):
         self.beta = beta
+        M = relevant.size
         basis = relevant.spectral_basis
         self.diagonal = basis is not None
+        X = relevant.point_stack() if stack is None else stack
         with np.errstate(over="ignore", invalid="ignore"):
             if self.diagonal:
-                self.U, self.P = basis
-                k = beta @ self.P
+                self.U = basis[0]
+                k = beta @ X[:M]
             else:
-                K = np.tensordot(beta, relevant.stack, axes=1)
+                d = X.shape[-1]
+                K = (beta @ X[:M].reshape(M, d * d)).reshape(d, d)
                 require_finite(K, "exponent operator (beta, P)", DomainError)
                 k, self.U = np.linalg.eigh(hermitize(K))
-                self.P = _rotate(self.U, relevant.stack, diagonal=False)
+                X = self.U.conj().T @ X @ self.U
             k = k - k.min()
         if not np.isfinite(k).all():  # also every non-finite beta
             raise DomainError(f"Gibbs exponents {beta} give a non-finite spectrum of (beta, P)")
@@ -188,20 +203,26 @@ class _GibbsPoint:
         weights = np.exp(-self.k)
         self.Z = float(weights.sum())
         self.q = weights / self.Z
-        self.E = self.expect(self.P)
+        self.X = X
+        self.P = X[:M]
+        self.means = (X if self.diagonal else X.diagonal(0, 1, 2).real) @ self.q
+        self.E = self.means[:M]
+        self._slopes = None
 
-    def expect(self, X: np.ndarray) -> np.ndarray:
-        """Tr(X_m rho) for operators given in this point's basis."""
-        if self.diagonal:
-            return X @ self.q
-        return np.einsum("mii,i->m", X, self.q).real
-
-    def expect_derivative(self, X: np.ndarray) -> np.ndarray:
-        """G_mn = Tr(X_m d rho / d beta_n) for operators given in this point's basis."""
-        if self.diagonal:
-            return -(X * self.q) @ (self.P - self.E[:, None]).T
-        G = np.einsum("mji,ij,nij->mn", X, self._kernel, self.P).real / self.Z
-        return G + np.outer(self.expect(X), self.E)
+    def slopes(self, rows: int) -> np.ndarray:
+        """D_mn = d Tr(X_m rho) / d beta_n for the first rows of the stack: one
+        contraction of those rows against P, whose top M x M block is J before
+        symmetrization.  The widest block computed is kept for narrower calls.
+        A table is contracted in blocks of M rows, each rounded as a lone block."""
+        if self._slopes is None or len(self._slopes) < rows:
+            X, M = self.X[:rows], len(self.E)
+            if self.diagonal:
+                D = (X * -self.q).reshape(-1, M, len(self.q)) @ (self.P - self.E[:, None]).T
+                self._slopes = D.reshape(rows, M)
+            else:
+                D = np.einsum("mji,ij,nij->mn", X, self._kernel, self.P).real / self.Z
+                self._slopes = D + self.means[:rows, None] * self.E
+        return self._slopes[:rows]
 
     @cached_property
     def _kernel(self) -> np.ndarray:
@@ -211,7 +232,7 @@ class _GibbsPoint:
     @cached_property
     def jacobian(self) -> np.ndarray:
         """Response matrix J_mn = d E_m / d beta_n, symmetrized."""
-        J = self.expect_derivative(self.P)
+        J = self.slopes(len(self.E))
         return 0.5 * (J + J.T)
 
     def response_inverse(self) -> np.ndarray:

@@ -333,9 +333,11 @@ def build_config(section) -> StrobConfig:
     if section.get("ode_step") is not None:
         kwargs["ode_step"] = _as_float(section["ode_step"], "strob.ode_step")
     try:
-        return StrobConfig(**kwargs)
+        cfg = StrobConfig(**kwargs)
+        cfg.n_steps()  # the horizon must be a whole number of dt intervals
     except ValidationError as err:
         raise ConfigError(f"invalid strob config: {err}") from err
+    return cfg
 
 
 def build_initial(section, family: AnsatzFamily) -> tuple[np.ndarray, float | None]:
@@ -538,9 +540,7 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
     return 0
 
 
-def _compare_point(scenario: dict, dt: float, E0_spec) -> dict:
-    model, family, cfg, _ = _scenario_context(scenario, dt_override=dt)
-    E0, _ = build_initial(E0_spec, family)
+def _compare_point(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig, E0) -> dict:
     disc = run_discrete(model.generator, family, E0, cfg)
     ode1 = run_ode(model.generator, family, E0, cfg, order=1)
     ode2 = run_ode(model.generator, family, E0, cfg, order=2)
@@ -562,7 +562,11 @@ def cmd_compare(scenario: dict, out_dir: str) -> int:
     dts = [_as_float(dt, "compare.dts") for dt in dts]
     if "initial" not in scenario:
         raise ConfigError("scenario is missing the required key 'initial'")
-    points = [_compare_point(scenario, dt, scenario["initial"]) for dt in dts]
+    rungs = []  # every rung is configured before any runs, so a bad one fails up front
+    for dt in dts:
+        model, family, cfg, _ = _scenario_context(scenario, dt_override=dt)
+        rungs.append((model, family, cfg, build_initial(scenario["initial"], family)[0]))
+    points = [_compare_point(*rung) for rung in rungs]
 
     report: dict = {"name": name, "dts": dts,
                     "model": _require_map(scenario["model"], "model").get("kind"),

@@ -142,12 +142,22 @@ def dexp_neg(K, D) -> np.ndarray:
 def exp_neg_kernel(w: np.ndarray) -> np.ndarray:
     """Daleckii-Krein kernel of k -> exp(-k) on a spectrum w: the divided
     differences (exp(-w_i) - exp(-w_j)) / (w_i - w_j), with the midpoint limit
-    -exp(-(w_i+w_j)/2) for pairs closer than DEGENERATE_EIG_TOL."""
+    -exp(-(w_i+w_j)/2) for pairs closer than DEGENERATE_EIG_TOL, which is
+    exactly -exp(-w_i) on the diagonal."""
+    n = len(w)
     ew = np.exp(-w)
-    diff = w[:, None] - w[None, :]
-    near = np.abs(diff) < DEGENERATE_EIG_TOL
-    safe = np.where(near, 1.0, diff)
-    return np.where(near, -np.exp(-0.5 * (w[:, None] + w[None, :])), (ew[:, None] - ew[None, :]) / safe)
+    diff = np.subtract.outer(w, w)
+    diff.flat[::n + 1] = 1.0
+    i, j = np.nonzero(np.abs(diff) < DEGENERATE_EIG_TOL)
+    kernel = np.subtract.outer(ew, ew)
+    if i.size:
+        diff[i, j] = 1.0
+        kernel /= diff
+        kernel[i, j] = -np.exp(-0.5 * (w[i] + w[j]))
+    else:
+        kernel /= diff
+    kernel.flat[::n + 1] = -ew
+    return kernel
 
 
 def frobenius(A, B) -> complex:

@@ -33,7 +33,6 @@ from .ansatz import (
     _as_relevant,
     _GibbsPoint,
     _LinearAnsatz,
-    _rotate,
     extract_params,
 )
 from .errors import (
@@ -48,7 +47,7 @@ from .liouville import GkslGenerator, Propagator, apply_heisenberg
 from .matcore import frobenius
 
 STEP_CAP_DEFAULT = 10_000_000
-GRID_TOL = 1e-9
+GRID_TOL = 1e-9  # grid mismatch allowed, as a fraction of the step count (at least 1 step)
 FD_STEP = 1e-5
 STAGE_BATCH = 64  # RK4 steps whose stage points one batched feasibility check covers
 
@@ -88,7 +87,7 @@ class StrobConfig:
             if not isfinite(steps):
                 raise CapacityError(f"dt {self.dt} needs {steps} default ode steps per interval")
             object.__setattr__(self, "ode_step", self.dt / ceil(steps - GRID_TOL))
-        elif not (0.0 < self.ode_step <= self.dt + GRID_TOL):
+        elif not (0.0 < self.ode_step <= self.dt * (1.0 + GRID_TOL)):
             raise ValidationError(
                 f"ode_step {self.ode_step} must lie in (0, dt={self.dt}]"
             )
@@ -96,18 +95,22 @@ class StrobConfig:
             steps = self.dt / self.ode_step
             if not isfinite(steps):
                 raise CapacityError(f"ode_step {self.ode_step} needs {steps} steps per dt={self.dt}")
-            if abs(round(steps) * self.ode_step - self.dt) > GRID_TOL * max(1.0, self.dt):
+            if not _whole(steps):
                 raise ValidationError(f"ode_step {self.ode_step} does not divide dt={self.dt}")
 
     def n_steps(self) -> int:
         steps = self.horizon / self.dt
         _check_cap(steps)
-        n = round(steps)
-        if abs(n * self.dt - self.horizon) > GRID_TOL * max(1.0, self.horizon):
+        if not _whole(steps):
             raise ValidationError(
                 f"horizon {self.horizon} is not a whole number of dt={self.dt} intervals"
             )
-        return int(n)
+        return round(steps)
+
+
+def _whole(steps: float) -> bool:
+    """Whether span / step is whole, its mismatch counted in steps, not in time."""
+    return abs(steps - round(steps)) <= GRID_TOL * max(1.0, steps)
 
 
 @dataclass(eq=False)
@@ -181,10 +184,10 @@ class ContinuumLimit:
     the velocity gradient along the family, always analytic; fd_gradient gives
     its central-difference counterpart as a check.  Gibbs fits are
     warm-started from the previous fit, and their exponents are kept in order
-    in fitted.  At a Gibbs point the gradient is taken in beta,
-    G = d<A>/dbeta, and W = G J^-1.  When the Gibbs observables commute every
-    state is diagonal in their common eigenbasis U, so only the vectors
-    diag(U^dag A_m U) and diag(U^dag B_m U) enter and no d x d matrix is formed.
+    in fitted.  A gibbs_point evaluates the stack [P; A; B] at once, and one
+    contraction of its [P; A] rows gives J and the gradient in beta,
+    G = d<A>/dbeta, so W = G J^-1; when the Gibbs observables commute the
+    stack is a table of diagonals built once, and no d x d matrix is formed.
     A linear family's state is R0 + sum_j E_j D_j, so the moments are affine
     in E: the images are paired with R0 and D once, and each point only checks
     feasibility and reads the table (W is its constant slope).
@@ -200,11 +203,18 @@ class ContinuumLimit:
 
     @cached_property
     def _images(self) -> np.ndarray:
-        """Stack (A_1..A_M, B_1..B_M), as diagonals in the common eigenbasis when there is one."""
+        """Stack (A_1..A_M, B_1..B_M) of the Heisenberg images."""
         A = [apply_heisenberg(self.gen, P) for P in self.family.relevant.observables]
-        images = np.array(A + [apply_heisenberg(self.gen, Am) for Am in A])
-        basis = self.family.relevant.spectral_basis if self._gibbs else None
-        return images if basis is None else _rotate(basis[0], images, diagonal=True)
+        return np.array(A + [apply_heisenberg(self.gen, Am) for Am in A])
+
+    @cached_property
+    def _point_stack(self) -> np.ndarray:
+        """[P; A; B] as a Gibbs point evaluates it (RelevantSet.point_stack)."""
+        return self.family.relevant.point_stack(self._images)
+
+    def gibbs_point(self, beta: np.ndarray) -> _GibbsPoint:
+        """The Gibbs point at beta, evaluating the images with the observables."""
+        return _GibbsPoint(self.family.relevant, beta, self._point_stack)
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +237,7 @@ class ContinuumLimit:
         E = _as_params(E, self.family.size)
         M = self.family.size
         if self._gibbs:
-            point = self._point(E)
+            point = self.gibbs_point(self._point(E).beta)
             a, b, G = self.gibbs_moments(point, gradient)
             return a, b, G @ point.response_inverse() if gradient else None
         if self._linear:
@@ -241,11 +251,11 @@ class ContinuumLimit:
         return ab[:M], ab[M:], W
 
     def gibbs_moments(self, point: _GibbsPoint, gradient: bool = True):
-        """(<A>, <B>, G) at a Gibbs point, G_mn = d<A_m>/dbeta_n; G is None without gradient."""
+        """(<A>, <B>, G) read from a gibbs_point, G_mn = d<A_m>/dbeta_n; G is None
+        without gradient.  G comes from the same contraction as J."""
         M = self.family.size
-        X = self._images if point.diagonal else _rotate(point.U, self._images, diagonal=False)
-        ab = point.expect(X)
-        return ab[:M], ab[M:], point.expect_derivative(X[:M]) if gradient else None
+        a, b = point.means[M:2 * M], point.means[2 * M:]
+        return a, b, point.slopes(2 * M)[M:] if gradient else None
 
     def fd_gradient(self, E) -> np.ndarray:
         """Central differences of <A> with step FD_STEP, a check on the analytic W of
@@ -255,9 +265,8 @@ class ContinuumLimit:
         M = self.family.size
         if self._gibbs:
             point = self._point(E)
-            relevant = self.family.relevant
             G = _central_difference(
-                lambda beta: self.gibbs_moments(_GibbsPoint(relevant, beta), False)[0], point.beta)
+                lambda beta: self.gibbs_moments(self.gibbs_point(beta), False)[0], point.beta)
             return G @ point.response_inverse()
         if self._linear:
             self.family.feasible_block(E)
@@ -271,7 +280,7 @@ class ContinuumLimit:
         return self.cfg.lam * a if order == 1 else _second_order(self.cfg, a, b, W)
 
     def beta_velocity(self, point: _GibbsPoint, order: int) -> np.ndarray:
-        """dbeta/dt = J^-1 dE/dt at a Gibbs point, with one J^-1 shared by dbeta and W = G J^-1."""
+        """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1."""
         a, b, G = self.gibbs_moments(point, order == 2)
         J_inv = point.response_inverse()
         dE = self.cfg.lam * a if order == 1 else _second_order(self.cfg, a, b, G @ J_inv)
@@ -304,11 +313,12 @@ def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cf
     beta = float(beta)
     if beta == 0.0:
         raise DomainError("heat capacity is undefined at beta = 0 (dbeta/dE blows up)")
-    point = _GibbsPoint(family.relevant, np.array([beta]))
+    limit = ContinuumLimit(gen, family, cfg)
+    point = limit.gibbs_point(np.array([beta]))
     C = -(beta**2) * point.jacobian[0, 0]
     if C < 1e-15 * (1.0 + beta * beta):
         raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
-    return float(ContinuumLimit(gen, family, cfg).beta_velocity(point, 2)[0])
+    return float(limit.beta_velocity(point, 2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +398,7 @@ def _affine_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajector
 def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, order: int) -> Trajectory:
     """dbeta/dt = J^-1 dE/dt integrated from beta0: E rows as params, beta rows as temps."""
     relevant = limit.family.relevant
-    traj = integrate(lambda beta: limit.beta_velocity(_GibbsPoint(relevant, beta), order), beta0, limit.cfg)
+    traj = integrate(lambda beta: limit.beta_velocity(limit.gibbs_point(beta), order), beta0, limit.cfg)
     traj.temps = traj.params
     traj.params = np.array([_GibbsPoint(relevant, beta).E for beta in traj.temps])
     return traj

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from scipy.linalg import expm
 
-from thermostrobe import strob
+from thermostrobe import cli, strob
 from thermostrobe.cli import load_scenario, main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -305,6 +305,28 @@ def test_non_dividing_ode_step_is_config_error(tmp_path, capsys):
     path = scenario_file(tmp_path, sc)
     assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error: invalid strob config: ode_step 0.07 does not divide dt=0.1" in capsys.readouterr().err
+
+
+def test_non_whole_horizon_is_config_error(tmp_path, capsys):
+    sc = variant(QUBIT_BASE, strob={"dt": 0.03, "horizon": 0.5})
+    path = scenario_file(tmp_path, sc)
+    out = tmp_path / "o"
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert ("config error: invalid strob config: horizon 0.5 is not a whole number of "
+            "dt=0.03 intervals") in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_compare_checks_every_rung_before_running_any(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_discrete", lambda *args, **kwargs: runs.append(args))
+    sc = compare_scenario()
+    sc["compare"] = {"dts": [0.2, 0.03]}
+    path = scenario_file(tmp_path, sc)
+    assert main(["compare", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert ("config error: invalid strob config: horizon 0.8 is not a whole number of "
+            "dt=0.03 intervals") in capsys.readouterr().err
+    assert runs == []
 
 
 @pytest.mark.parametrize("blocked", ["out-dir-is-a-file", "out-dir-below-a-file",

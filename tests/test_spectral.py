@@ -4,17 +4,26 @@ A relevant set whose observables commute is evaluated in their common
 eigenbasis without diagonalizing K = (beta, P); any other set diagonalizes K
 once per point.  Both are checked here against the dense formulas: an
 eigensolve of K, the directional derivative dexp_neg per direction and
-Frobenius pairings.  Inputs are drawn where those formulas are themselves
-accurate to roundoff (response matrix condition at most 100, distinct levels
-of K at least 1e-2 apart); elsewhere the dense reference loses more digits
-than the spectral path does.
+Frobenius pairings.  Random inputs are drawn where those formulas are
+themselves accurate to roundoff (response matrix condition at most 100,
+distinct levels of K at least 1e-2 apart); elsewhere the dense reference
+loses more digits than the spectral path does.  The degenerate exponents the
+draws leave out, K = 0 and K with an exactly repeated level, are checked at
+fixed points.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thermostrobe import (
+    SIGMA_X,
+    SIGMA_Z,
     ContinuumLimit,
+    DegenerateAnsatzError,
+    DomainError,
     GibbsAnsatz,
     RelevantSet,
     StrobConfig,
@@ -28,7 +37,7 @@ from thermostrobe import (
     hermitize,
     ode_rhs_temperature,
 )
-from thermostrobe.ansatz import _GibbsPoint
+from thermostrobe.matcore import DEGENERATE_EIG_TOL, exp_neg_kernel
 from tutil import random_generator, random_hermitian
 
 TOL = 1e-12
@@ -84,10 +93,16 @@ def check_against_dense(rng, obs, spectral):
     rs = RelevantSet(obs)
     assert (rs.spectral_basis is not None) == spectral
     beta = rng.uniform(-0.8, 0.8, size=rs.size)
-    rho, E, J, dstack, derivs = dense_gibbs(obs, beta)
+    J = dense_gibbs(obs, beta)[2]
     gaps = np.diff(np.linalg.eigvalsh(sum(b * P for b, P in zip(beta, obs))))
     assume(np.linalg.cond(J) <= 100.0 and not np.any((gaps > 1e-9) & (gaps < 1e-2)))
+    check_point(rng, rs, beta)
 
+
+def check_point(rng, rs, beta):
+    """Every Gibbs quantity and both velocities at beta against the dense formulas."""
+    obs = rs.observables
+    rho, E, J, dstack, derivs = dense_gibbs(obs, beta)
     assert_close(gibbs_state(rs, beta), rho)
     assert_close(gibbs_expectations(rs, beta), E)
     assert_close(gibbs_jacobian(rs, beta), J)
@@ -108,7 +123,7 @@ def check_against_dense(rng, obs, spectral):
     # natural coordinates: the beta-route velocity is J^-1 times the E-route one at E(beta)
     J_inv = np.linalg.inv(J)
     for order in (1, 2):
-        assert_close(limit.beta_velocity(_GibbsPoint(rs, beta), order),
+        assert_close(limit.beta_velocity(limit.gibbs_point(beta), order),
                      J_inv @ limit.velocity(E, order), scale * np.linalg.norm(J_inv, 2))
     if rs.size == 1:
         _, ode2, scale = dense_rhs(gen, obs, rho, derivs)
@@ -148,3 +163,94 @@ def test_near_commuting_set_falls_back_to_dense(rng):
     assert_close(gibbs_state(obs, beta), rho)
     assert_close(gibbs_jacobian(obs, beta), J)
     assert_close(GibbsAnsatz(obs).derivative_from_beta(beta), derivs)
+
+
+# ---------------------------------------------------------------------------
+# The fused point at degenerate exponents, its kernel, its errors and its cost
+
+SZ1 = np.diag([1.0, 0.0, -1.0]).astype(complex)
+SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("obs, beta", [
+    ((SIGMA_Z, SIGMA_X), [0.0, 0.0]),
+    ((SZ1, SX1), [0.0, 0.0]),
+    ((SZ1 @ SZ1, SX1), [0.7, 0.0]),
+    ((SZ1 @ SZ1, SX1, SZ1), [0.5, 0.0, 0.5]),
+], ids=["qubit-K-zero", "spin1-K-zero", "spin1-repeated-level", "spin1-three-repeated-level"])
+def test_non_commuting_point_at_degenerate_exponents(rng, obs, beta):
+    # K = 0 is where every cold fit starts; the other K have an exactly repeated level
+    rs = RelevantSet(obs)
+    assert rs.spectral_basis is None
+    beta = np.array(beta)
+    levels = np.linalg.eigvalsh(sum(b * P for b, P in zip(beta, obs)))
+    assert np.min(np.diff(levels)) < DEGENERATE_EIG_TOL
+    check_point(rng, rs, beta)
+
+
+def previous_exp_neg_kernel(w):
+    """exp_neg_kernel as first written: both branches over the whole matrix."""
+    ew = np.exp(-w)
+    diff = w[:, None] - w[None, :]
+    near = np.abs(diff) < DEGENERATE_EIG_TOL
+    safe = np.where(near, 1.0, diff)
+    return np.where(near, -np.exp(-0.5 * (w[:, None] + w[None, :])), (ew[:, None] - ew[None, :]) / safe)
+
+
+def test_exp_neg_kernel_matches_previous_formula(rng):
+    spectra = [[0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1e-10, 2.0, 2.0 + 5e-9],
+               [0.0, 5e-9, 1e-8, 1.5e-8], [0.0, 350.0, 700.0, 745.0]]
+    for _ in range(200):
+        w = np.sort(rng.normal(size=int(rng.integers(2, 7))) * rng.choice([1e-9, 1e-8, 1.0, 50.0]))
+        if rng.random() < 0.5:
+            w[1] = w[0] + rng.choice([0.0, 1e-12, 5e-9, 2e-8])
+        spectra.append(w - w.min())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in map(np.asarray, spectra):
+            assert np.array_equal(exp_neg_kernel(w), previous_exp_neg_kernel(w)), w
+
+
+@pytest.mark.parametrize("obs, beta, error, message", [
+    ((SIGMA_Z, SIGMA_X), [np.inf, 0.0], DomainError,
+     "non-finite entries in exponent operator (beta, P)"),
+    ((SIGMA_Z,), [np.inf], DomainError,
+     "Gibbs exponents [inf] give a non-finite spectrum of (beta, P)"),
+    ((SIGMA_Z, SIGMA_X), [1e308, 1e308], DomainError,
+     "Gibbs exponents [1.e+308 1.e+308] give a non-finite spectrum of (beta, P)"),
+    ((SIGMA_Z,), [800.0], DegenerateAnsatzError,
+     "Gibbs response matrix is numerically singular (|eigenvalues| from 0.000e+00 to "
+     "0.000e+00) at beta = [800.]"),
+    ((SIGMA_Z, SIGMA_X), [800.0, 0.0], DegenerateAnsatzError,
+     "Gibbs response matrix is numerically singular (|eigenvalues| from 0.000e+00 to "
+     "1.250e-03) at beta = [800.   0.]"),
+], ids=["non-finite-K", "non-finite-spectrum-commuting", "non-finite-spectrum-dense",
+        "singular-J-commuting", "singular-J-dense"])
+def test_gibbs_point_error_messages(obs, beta, error, message):
+    gen = random_generator(np.random.default_rng(3), 2)
+    limit = ContinuumLimit(gen, GibbsAnsatz(obs), CFG)
+    with pytest.raises(error) as info:
+        limit.beta_velocity(limit.gibbs_point(np.array(beta)), 2)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("obs, eigh_calls", [
+    ((SZ1, SX1), 1),
+    ((SZ1, SZ1 @ SZ1), 0),
+], ids=["non-commuting", "commuting"])
+def test_one_eigensolve_per_beta_route_rhs(monkeypatch, rng, obs, eigh_calls):
+    limit = ContinuumLimit(random_generator(rng, 3), GibbsAnsatz(obs), CFG)
+    limit.gibbs_point(np.zeros(2))  # builds the images and the point stack
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for order in (1, 2):
+        for beta in ([0.3, -0.2], [0.0, 0.0]):
+            calls.clear()
+            limit.beta_velocity(limit.gibbs_point(np.array(beta)), order)
+            assert len(calls) == eigh_calls

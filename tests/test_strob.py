@@ -43,6 +43,7 @@ from thermostrobe import (
     run_ode_temperature,
 )
 from thermostrobe.cli import _scenario_context, estimate_tau, load_scenario
+from thermostrobe.strob import _rk4_grid
 from tutil import random_generator
 
 REPO = Path(__file__).resolve().parents[1]
@@ -126,6 +127,20 @@ def test_config_n_steps_requires_whole_grid():
     assert StrobConfig(dt=0.1, horizon=1.0).n_steps() == 10
     with pytest.raises(ValidationError, match="horizon"):
         StrobConfig(dt=0.1, horizon=1.05).n_steps()
+
+
+def test_config_grid_mismatch_is_measured_in_steps():
+    # an absolute tolerance of 1e-9 in time let every grid below dt ~ 1e-9 through
+    with pytest.raises(ValidationError, match="whole number of dt=1e-10 intervals"):
+        StrobConfig(dt=1e-10, horizon=1.5e-10).n_steps()
+    with pytest.raises(ValidationError, match="does not divide dt"):
+        StrobConfig(dt=1e-10, horizon=1e-10, ode_step=7e-11)
+    with pytest.raises(ValidationError, match="must lie in"):
+        StrobConfig(dt=1e-10, horizon=1e-10, ode_step=1.5e-10)
+    cfg = StrobConfig(dt=1e-10, horizon=3e-10, ode_step=1e-11)
+    assert cfg.n_steps() == 3
+    assert _rk4_grid(cfg) == (10, pytest.approx(1e-11, rel=1e-15))
+    assert StrobConfig(dt=1e4, horizon=3e6).n_steps() == 300
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ ZERO_BRANCH_TOL = 1e-12
 IMAG_TOL = 1e-10
 JACOBIAN_RCOND = 1e-12
 COMMUTE_TOL = 1e-12
+FIT_TOL = 1e-11  # default residual tolerance of a Gibbs family's fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +177,8 @@ class _GibbsPoint:
     in one product.  The spectrum k is shifted to start at 0, with Z and the
     populations q taken from the shifted weights; means holds Tr(X_m rho)
     for every row of the stack, from one product with q.  A non-finite beta,
-    or exponents so large that the shifted spectrum overflows, raise
-    DomainError.
+    or exponents so large that the eigensolve fails or the shifted spectrum
+    overflows, raise DomainError.
     """
 
     def __init__(self, relevant: RelevantSet, beta: np.ndarray, stack: np.ndarray | None = None):
@@ -194,7 +195,10 @@ class _GibbsPoint:
                 d = X.shape[-1]
                 K = (beta @ X[:M].reshape(M, d * d)).reshape(d, d)
                 require_finite(K, "exponent operator (beta, P)", DomainError)
-                k, self.U = np.linalg.eigh(hermitize(K))
+                try:
+                    k, self.U = np.linalg.eigh(hermitize(K))
+                except np.linalg.LinAlgError as err:  # entries near the float range
+                    raise DomainError(f"Gibbs exponents {beta}: the eigensolve of (beta, P) failed") from err
                 X = self.U.conj().T @ X @ self.U
             k = k - k.min()
         if not np.isfinite(k).all():  # also every non-finite beta
@@ -482,7 +486,7 @@ class GibbsAnsatz(AnsatzFamily):
 
     is_linear = False
 
-    def __init__(self, observables, fit_tol: float = 1e-11, fit_max_iter: int = 200):
+    def __init__(self, observables, fit_tol: float = FIT_TOL, fit_max_iter: int = 200):
         _check_fit_settings(fit_tol, fit_max_iter)
         self.relevant = _as_relevant(observables)
         self.fit_tol = float(fit_tol)

@@ -6,7 +6,7 @@ file and an optional --out-dir.  Outputs are deterministic: identical inputs
 give byte-identical files (17-significant-digit CSV fields, sorted JSON keys,
 no timestamps or absolute paths).  Exit codes: 0 ok, 1 failed comparison
 check, 2 config error, 3 runtime error (with the protocol step in the
-message).
+message), numerical overflow included.
 """
 
 from __future__ import annotations
@@ -15,12 +15,17 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
+from copy import copy
 from dataclasses import dataclass
+from itertools import combinations
+from math import isfinite
 
 import numpy as np
 import yaml
 
 from .ansatz import (
+    FIT_TOL,
     AnsatzFamily,
     FactorizedAnsatz,
     GibbsAnsatz,
@@ -32,7 +37,7 @@ from .ansatz import (
     gibbs_expectations,
     qubit_beta_closed_form,
 )
-from .errors import ConfigError, ThermostrobeError, ValidationError
+from .errors import ConfigError, DomainError, ThermostrobeError, ValidationError
 from .liouville import GkslGenerator
 from .models import (
     MultilevelParams,
@@ -59,12 +64,7 @@ from .strob import (
     run_ode_temperature,
 )
 
-MODEL_KINDS = ("qubit", "multilevel", "custom-gksl")
-ANSATZ_KINDS = ("gibbs-canonical", "gibbs-generalized", "pinching", "selective", "factorized")
 PROTOCOLS = ("discrete", "ode1", "ode2", "ode-temperature", "closed-form")
-
-SCENARIO_KEYS = {"name", "model", "ansatz", "protocols", "strob", "initial", "output",
-                 "checks", "compare", "fit"}
 
 
 def _fmt(x: float) -> str:
@@ -79,49 +79,42 @@ def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not isfinite(obj):  # JSON has no NaN or infinity
+        raise DomainError(f"a reported value is not finite: {obj}")
     return obj
 
 
 def _dump_json(path: str, obj: dict) -> None:
+    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(_jsonify(obj), sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(text)
 
 
-def _require_map(obj, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a mapping, got {type(obj).__name__}")
-    return obj
+# ---------------------------------------------------------------------------
+# Scenario schema: one table per section (and per model or ansatz kind) maps each
+# key to a converter, (value, what) -> typed value or ConfigError, and a default.
 
 
-def _known_keys(section: dict, allowed: set, what: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {what}: {', '.join(unknown)}")
-
-
-def _as_float(value, what: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not np.isfinite(out):
-        raise ConfigError(f"{what} must be finite, got {out}")
-    return out
-
-
-def _as_list(value, what: str):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{what} must be a list, got {value!r}")
+def _raw(value, what: str):
     return value
 
 
-def _as_floats(value, what: str) -> tuple[float, ...]:
-    return tuple(_as_float(x, what) for x in _as_list(value, what))
+def _float(value, what: str) -> float:
+    """A finite number or numeric string; booleans are refused rather than read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            out = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if not isfinite(out):
+                raise ConfigError(f"{what} must be finite, got {out}")
+            return out
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
-def _as_int(value, what: str) -> int:
+def _int(value, what: str) -> int:
     """An integer, an integral float or an integer string; bools and fractions are refused."""
     if not isinstance(value, bool):
         try:
@@ -134,33 +127,149 @@ def _as_int(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_bool(value, what: str) -> bool:
+def _bool(value, what: str) -> bool:
     """A YAML boolean; strings, numbers and null are refused rather than read for truth."""
     if not isinstance(value, bool):
         raise ConfigError(f"{what} must be true or false, got {value!r}")
     return value
 
 
-def _parse_entry(entry, what: str) -> complex:
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise ConfigError(f"{what}: complex entries are [re, im] pairs, got {entry!r}")
-        return complex(_as_float(entry[0], what), _as_float(entry[1], what))
-    return complex(_as_float(entry, what))
+def _complex(value, what: str) -> complex:
+    """A number, or an [re, im] pair."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ConfigError(f"{what}: complex entries are [re, im] pairs, got {value!r}")
+        return complex(_float(value[0], what), _float(value[1], what))
+    return complex(_float(value, what))
 
 
-def _parse_matrix(obj, what: str) -> np.ndarray:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise ConfigError(f"{what} must be a nonempty list of rows")
-    rows = []
-    for r, row in enumerate(obj):
-        if not isinstance(row, (list, tuple)) or len(row) != len(obj):
-            raise ConfigError(f"{what} must be square; row {r} is not length {len(obj)}")
-        rows.append([_parse_entry(e, f"{what}[{r}]") for e in row])
-    return np.array(rows, dtype=complex)
+def _list(convert):
+    """The converter of a list whose items convert reads."""
+    def read_list(value, what: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{what} must be a list, got {value!r}")
+        return tuple(convert(item, f"{what}[{i}]") for i, item in enumerate(value))
+    return read_list
+
+
+def _square(entry):
+    """The converter of a nonempty square matrix, given as a list of rows of entries."""
+    def read_matrix(value, what: str) -> np.ndarray:
+        rows = _list(_list(entry))(value, what)
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ConfigError(f"{what} must be a nonempty square matrix (a list of equal-length rows)")
+        return np.array(rows)
+    return read_matrix
+
+
+_floats = _list(_float)
+_matrix = _square(_complex)
+
+
+def _vector(value, what: str) -> np.ndarray:
+    """A number or a list of numbers, as a 1-D array."""
+    return np.array(_floats(value if isinstance(value, (list, tuple)) else [value], what))
+
+
+def _dims(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{what} must be [system, bath], got {value!r}")
+    return tuple(_int(n, what) for n in value)
+
+
+def _stem(value, what: str) -> str:
+    if not isinstance(value, str) or not value or os.sep in value or "/" in value:
+        raise ConfigError(f"scenario name must be a plain file stem, got {value!r}")
+    return value
+
+
+REQUIRED = object()  # the default of a key that must be given
+# a scenario key: its converter, its default, and whether null reads as absent;
+# any other null goes to the converter, which refuses it
+Key = namedtuple("Key", "convert default null_is_absent", defaults=(REQUIRED, False))
+
+
+def _optional(convert, default=None) -> Key:
+    """A key for which both absence and null give default."""
+    return Key(convert, default, True)
+
+
+# sections are read when a command needs them, by the builders and commands below
+SCENARIO = {
+    "name": Key(_stem), "model": Key(_raw), "ansatz": Key(_raw), "strob": Key(_raw),
+    "protocols": Key(_raw, None), "initial": Key(_raw, {}),
+    "output": _optional(_raw, {}), "checks": _optional(_raw, {}),
+    "compare": _optional(_raw, {}), "fit": _optional(_raw, {}),
+}
+STROB = {
+    "lambda": Key(_float, 1.0), "dt": Key(_float), "horizon": Key(_float),
+    "alpha": _optional(_float), "ode_step": _optional(_float),
+}
+MODELS = {  # one table per model.kind
+    "qubit": {
+        "omega0": Key(_float, 1.0), "gamma": Key(_float, 0.5), "bosonic_gamma0": Key(_float, None),
+        "beta0": Key(_float, 1.0), "Omega": Key(_float, 0.0), "delta_omega": Key(_float, 0.0),
+    },
+    "multilevel": {
+        "omegas": Key(_floats), "base_rates": Key(_square(_float)), "beta0": Key(_float, 1.0),
+        "shifts": _optional(_floats),
+    },
+    "custom-gksl": {
+        "hamiltonian": Key(_matrix),
+        "jumps": _optional(_list(lambda value, what: read(JUMP, value, what)), ()),
+        "observable": _optional(_matrix),
+    },
+}
+JUMP = {"operator": Key(_matrix), "rate": Key(_float)}
+ANSATZES = {  # one table per ansatz.kind; a null observable is the model's energy observable
+    "gibbs-canonical": {"observable": _optional(_matrix), "fit_tol": Key(_float, FIT_TOL)},
+    "gibbs-generalized": {"observables": Key(_list(_matrix)), "fit_tol": Key(_float, FIT_TOL)},
+    "pinching": {"observable": _optional(_matrix)},
+    "selective": {"observable": _optional(_matrix), "eigenvalue": Key(_float)},
+    "factorized": {"bath_state": Key(_matrix), "dims": Key(_dims)},
+}
+INITIAL = {"E": _optional(_vector), "beta_probe": _optional(_float), "rho": _optional(_matrix)}
+OUTPUT = {"emit_beta": Key(_bool, False)}
+CHECKS = {"fd_mode": Key(_bool, False), "generic_vs_analytic": Key(_bool, False)}
+COMPARE = {"dts": Key(_floats)}
+FIT = {
+    "target_E": _optional(_vector), "tail_of": _optional(_raw),
+    "tol": Key(_float, 1e-10), "max_iter": Key(_int, 200),
+}
+
+
+def read(table: dict, section, what: str) -> dict:
+    """The typed values of one scenario section, read against its table.
+
+    Every check of a section's shape is made here: it must be a mapping,
+    with no unknown keys and every required key; each given value goes
+    through its key's converter and each absent one takes its default.  A
+    table of tables (MODELS, ANSATZES) is chosen from by the section's kind,
+    which comes back under "kind".
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{what} must be a mapping, got {type(section).__name__}")
+    if not isinstance(next(iter(table.values())), Key):
+        kind = section.get("kind")
+        if not (isinstance(kind, str) and kind in table):
+            raise ConfigError(f"{what}.kind must be one of {tuple(table)}, got {kind!r}")
+        table = {"kind": Key(_raw), **table[kind]}
+    unknown = sorted(str(key) for key in section if key not in table)
+    if unknown:
+        raise ConfigError(f"unknown keys in {what}: {', '.join(unknown)}")
+    out = {}
+    for key, (convert, default, null_is_absent) in table.items():
+        if key in section and not (section[key] is None and null_is_absent):
+            out[key] = convert(section[key], f"{what}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{what} is missing the required key {key!r}")
+        else:
+            out[key] = copy(default)  # a section's {} is the caller's own to change
+    return out
 
 
 def load_scenario(path: str) -> dict:
+    """The scenario's top level, read against SCENARIO; its sections stay as written."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -168,15 +277,7 @@ def load_scenario(path: str) -> dict:
         raise ConfigError(f"cannot read scenario file: {err}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"scenario file is not valid YAML: {err}") from err
-    scenario = _require_map(raw, "the scenario")
-    _known_keys(scenario, SCENARIO_KEYS, "the scenario")
-    for key in ("name", "model", "ansatz", "strob"):
-        if key not in scenario:
-            raise ConfigError(f"scenario is missing the required key {key!r}")
-    name = scenario["name"]
-    if not isinstance(name, str) or not name or os.sep in name or "/" in name:
-        raise ConfigError(f"scenario name must be a plain file stem, got {name!r}")
-    return scenario
+    return read(SCENARIO, raw, "scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -193,147 +294,61 @@ class ModelBundle:
 
 
 def build_model(section, dt: float) -> ModelBundle:
-    section = dict(_require_map(section, "model"))
-    kind = section.pop("kind", None)
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
+    v = read(MODELS, section, "model")
+    kind = v["kind"]
+    if v.get("bosonic_gamma0") is not None and "gamma" in section:
+        raise ConfigError("give model.gamma or model.bosonic_gamma0, not both")
     try:
         if kind == "qubit":
-            _known_keys(section, {"omega0", "gamma", "bosonic_gamma0", "beta0", "Omega",
-                                  "delta_omega"}, "model")
-            beta0 = _as_float(section.get("beta0", 1.0), "model.beta0")
-            omega0 = _as_float(section.get("omega0", 1.0), "model.omega0")
-            if "bosonic_gamma0" in section:
-                if "gamma" in section:
-                    raise ConfigError("give model.gamma or model.bosonic_gamma0, not both")
-                gamma = bosonic_gamma(_as_float(section["bosonic_gamma0"], "model.bosonic_gamma0"),
-                                      beta0, omega0)
-            else:
-                gamma = _as_float(section.get("gamma", 0.5), "model.gamma")
-            params = QubitParams(
-                omega0=omega0, gamma=gamma, beta0=beta0, dt=dt,
-                Omega=_as_float(section.get("Omega", 0.0), "model.Omega"),
-                delta_omega=_as_float(section.get("delta_omega", 0.0), "model.delta_omega"),
-            )
+            gamma = v["gamma"] if v["bosonic_gamma0"] is None else (
+                bosonic_gamma(v["bosonic_gamma0"], v["beta0"], v["omega0"]))
+            params = QubitParams(omega0=v["omega0"], gamma=gamma, beta0=v["beta0"], dt=dt,
+                                 Omega=v["Omega"], delta_omega=v["delta_omega"])
             return ModelBundle(kind, qubit_generator(params), qubit_energy_observable(params),
                                qubit=params)
         if kind == "multilevel":
-            _known_keys(section, {"omegas", "base_rates", "beta0", "shifts"}, "model")
-            if "omegas" not in section or "base_rates" not in section:
-                raise ConfigError("multilevel model needs omegas and base_rates")
-            omegas = _as_floats(section["omegas"], "model.omegas")
-            rates = [_as_floats(row, "model.base_rates")
-                     for row in _as_list(section["base_rates"], "model.base_rates")]
-            if any(len(row) != len(rates) for row in rates):
-                raise ConfigError("model.base_rates must be a square matrix")
-            shifts = section.get("shifts")
-            if shifts is not None:
-                shifts = _as_floats(shifts, "model.shifts")
-            params = MultilevelParams(
-                omegas=omegas, base_rates=np.array(rates),
-                beta0=_as_float(section.get("beta0", 1.0), "model.beta0"), shifts=shifts,
-            )
+            params = MultilevelParams(omegas=v["omegas"], base_rates=v["base_rates"],
+                                      beta0=v["beta0"], shifts=v["shifts"])
             return ModelBundle(kind, multilevel_generator(params),
                                multilevel_energy_observable(params), multilevel=params)
-        _known_keys(section, {"hamiltonian", "jumps", "observable"}, "model")
-        if "hamiltonian" not in section:
-            raise ConfigError("custom-gksl model needs a hamiltonian")
-        H = _parse_matrix(section["hamiltonian"], "model.hamiltonian")
-        jumps = []
-        for k, jump in enumerate(section.get("jumps", []) or []):
-            jump = _require_map(jump, f"model.jumps[{k}]")
-            _known_keys(jump, {"operator", "rate"}, f"model.jumps[{k}]")
-            if "operator" not in jump or "rate" not in jump:
-                raise ConfigError(f"model.jumps[{k}] needs operator and rate")
-            jumps.append((_parse_matrix(jump["operator"], f"model.jumps[{k}].operator"),
-                          _as_float(jump["rate"], f"model.jumps[{k}].rate")))
-        gen = GkslGenerator(H, tuple(jumps))
-        obs = section.get("observable")
-        obs = None if obs is None else _parse_matrix(obs, "model.observable")
-        return ModelBundle(kind, gen, obs)
-    except ConfigError:
-        raise
+        jumps = tuple((jump["operator"], jump["rate"]) for jump in v["jumps"])
+        return ModelBundle(kind, GkslGenerator(v["hamiltonian"], jumps), v["observable"])
     except ThermostrobeError as err:
         raise ConfigError(f"invalid model: {err}") from err
 
 
-def _default_observable(model: ModelBundle, what: str) -> np.ndarray:
-    if model.energy_observable is None:
-        raise ConfigError(f"{what}: a custom-gksl model needs model.observable or an "
-                          "explicit ansatz observable")
-    return model.energy_observable
-
-
 def build_ansatz(section, model: ModelBundle) -> AnsatzFamily:
-    section = dict(_require_map(section, "ansatz"))
-    kind = section.pop("kind", None)
-    if kind not in ANSATZ_KINDS:
-        raise ConfigError(f"ansatz.kind must be one of {ANSATZ_KINDS}, got {kind!r}")
+    v = read(ANSATZES, section, "ansatz")
+    kind = v["kind"]
+    if "observable" in v and v["observable"] is None:
+        if model.energy_observable is None:
+            raise ConfigError(f"{kind}: a custom-gksl model needs model.observable or an "
+                              "explicit ansatz observable")
+        v["observable"] = model.energy_observable
     try:
         if kind == "gibbs-canonical":
-            _known_keys(section, {"observable", "fit_tol"}, "ansatz")
-            obs = section.get("observable")
-            P = _default_observable(model, "gibbs-canonical") if obs is None else \
-                _parse_matrix(obs, "ansatz.observable")
-            kwargs = {}
-            if "fit_tol" in section:
-                kwargs["fit_tol"] = _as_float(section["fit_tol"], "ansatz.fit_tol")
-            return GibbsAnsatz.canonical(P, **kwargs)
+            return GibbsAnsatz.canonical(v["observable"], fit_tol=v["fit_tol"])
         if kind == "gibbs-generalized":
-            _known_keys(section, {"observables", "fit_tol"}, "ansatz")
-            if not section.get("observables"):
-                raise ConfigError("gibbs-generalized needs ansatz.observables")
-            obs = tuple(_parse_matrix(P, f"ansatz.observables[{m}]")
-                        for m, P in enumerate(section["observables"]))
-            kwargs = {}
-            if "fit_tol" in section:
-                kwargs["fit_tol"] = _as_float(section["fit_tol"], "ansatz.fit_tol")
-            return GibbsAnsatz(obs, **kwargs)
+            return GibbsAnsatz(v["observables"], fit_tol=v["fit_tol"])
         if kind == "pinching":
-            _known_keys(section, {"observable"}, "ansatz")
-            obs = section.get("observable")
-            X = _default_observable(model, "pinching") if obs is None else \
-                _parse_matrix(obs, "ansatz.observable")
-            return PinchingAnsatz(X)
+            return PinchingAnsatz(v["observable"])
         if kind == "selective":
-            _known_keys(section, {"observable", "eigenvalue"}, "ansatz")
-            if "eigenvalue" not in section:
-                raise ConfigError("selective needs ansatz.eigenvalue")
-            obs = section.get("observable")
-            X = _default_observable(model, "selective") if obs is None else \
-                _parse_matrix(obs, "ansatz.observable")
-            return SelectiveAnsatz(X, _as_float(section["eigenvalue"], "ansatz.eigenvalue"))
-        _known_keys(section, {"bath_state", "dims"}, "ansatz")
-        if "bath_state" not in section or "dims" not in section:
-            raise ConfigError("factorized needs ansatz.bath_state and ansatz.dims")
-        dims = section["dims"]
-        if not isinstance(dims, (list, tuple)) or len(dims) != 2:
-            raise ConfigError(f"ansatz.dims must be [system, bath], got {dims!r}")
-        return FactorizedAnsatz(_parse_matrix(section["bath_state"], "ansatz.bath_state"),
-                                tuple(_as_int(n, "ansatz.dims") for n in dims))
-    except ConfigError:
-        raise
+            return SelectiveAnsatz(v["observable"], v["eigenvalue"])
+        if v["dims"][0] * v["dims"][1] != model.generator.dim:  # before dS^2 - 1 observables are built
+            raise ConfigError(f"ansatz.dims must multiply to the model dimension {model.generator.dim}")
+        return FactorizedAnsatz(v["bath_state"], v["dims"])
     except ThermostrobeError as err:
         raise ConfigError(f"invalid ansatz: {err}") from err
 
 
-def build_config(section) -> StrobConfig:
-    section = dict(_require_map(section, "strob"))
-    _known_keys(section, {"lambda", "dt", "horizon", "alpha", "ode_step"}, "strob")
-    for key in ("dt", "horizon"):
-        if key not in section:
-            raise ConfigError(f"strob is missing the required key {key!r}")
-    kwargs = {
-        "lam": _as_float(section.get("lambda", 1.0), "strob.lambda"),
-        "dt": _as_float(section["dt"], "strob.dt"),
-        "horizon": _as_float(section["horizon"], "strob.horizon"),
-    }
-    if section.get("alpha") is not None:
-        kwargs["alpha"] = _as_float(section["alpha"], "strob.alpha")
-    if section.get("ode_step") is not None:
-        kwargs["ode_step"] = _as_float(section["ode_step"], "strob.ode_step")
+def build_config(section, dt: float | None = None) -> StrobConfig:
+    """Protocol scales; a given dt (a compare rung's) also resets alpha and ode_step to defaults."""
+    v = read(STROB, section, "strob")
+    if dt is not None:
+        v.update(dt=dt, alpha=None, ode_step=None)
     try:
-        cfg = StrobConfig(**kwargs)
+        cfg = StrobConfig(lam=v["lambda"], dt=v["dt"], horizon=v["horizon"], alpha=v["alpha"],
+                          ode_step=v["ode_step"])
         cfg.n_steps()  # the horizon must be a whole number of dt intervals
     except ValidationError as err:
         raise ConfigError(f"invalid strob config: {err}") from err
@@ -342,27 +357,20 @@ def build_config(section) -> StrobConfig:
 
 def build_initial(section, family: AnsatzFamily) -> tuple[np.ndarray, float | None]:
     """Initial parameter vector and, when given directly, the probe temperature."""
-    section = dict(_require_map(section, "initial"))
-    _known_keys(section, {"E", "beta_probe", "rho"}, "initial")
-    given = [k for k in ("E", "beta_probe", "rho") if section.get(k) is not None]
+    v = read(INITIAL, section, "initial")
+    given = [key for key, value in v.items() if value is not None]
     if len(given) != 1:
         raise ConfigError(f"initial needs exactly one of E, beta_probe, rho; got {given}")
-    if given[0] == "E":
-        E = section["E"]
-        if not isinstance(E, (list, tuple)):
-            E = [E]
-        E0 = np.array([_as_float(e, "initial.E") for e in E])
-        if E0.shape != (family.size,):
-            raise ConfigError(f"initial.E has {E0.shape[0]} entries, the ansatz has {family.size}")
-        return E0, None
-    if given[0] == "beta_probe":
-        beta = _as_float(section["beta_probe"], "initial.beta_probe")
+    if v["E"] is not None:
+        if v["E"].shape != (family.size,):
+            raise ConfigError(f"initial.E has {v['E'].shape[0]} entries, the ansatz has {family.size}")
+        return v["E"], None
+    if v["beta_probe"] is not None:
         if not isinstance(family, GibbsAnsatz) or family.size != 1:
             raise ConfigError("initial.beta_probe needs a gibbs-canonical ansatz")
-        return gibbs_expectations(family.relevant, [beta]), beta
-    rho = _parse_matrix(section["rho"], "initial.rho")
+        return gibbs_expectations(family.relevant, [v["beta_probe"]]), v["beta_probe"]
     try:
-        return extract_params(family, rho), None
+        return extract_params(family, v["rho"]), None
     except ValidationError as err:
         raise ConfigError(f"invalid initial.rho: {err}") from err
 
@@ -372,10 +380,8 @@ def build_initial(section, family: AnsatzFamily) -> tuple[np.ndarray, float | No
 
 
 def _check_protocols(protocols, model: ModelBundle, family: AnsatzFamily) -> list[str]:
-    if not protocols:
-        raise ConfigError("the scenario lists no protocols")
-    if not isinstance(protocols, (list, tuple)):
-        raise ConfigError("protocols must be a list")
+    if not isinstance(protocols, (list, tuple)) or not protocols:
+        raise ConfigError(f"protocols must be a nonempty list, got {protocols!r}")
     out = []
     for proto in protocols:
         if proto not in PROTOCOLS:
@@ -390,34 +396,25 @@ def _check_protocols(protocols, model: ModelBundle, family: AnsatzFamily) -> lis
     return out
 
 
-def _closed_form_trajectory(model: ModelBundle, cfg: StrobConfig, E0: float,
-                            emit_beta: bool) -> Trajectory:
-    n = cfg.n_steps()
-    times = np.arange(n + 1) * cfg.dt
-    params = qubit_E_closed_form(times, E0, model.qubit).reshape(-1, 1)
+def run_protocol(proto: str, model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig,
+                 E0: np.ndarray, beta_probe: float | None, emit_beta: bool) -> Trajectory:
+    if proto == "discrete":
+        return run_discrete(model.generator, family, E0, cfg, with_temps=emit_beta)
+    if proto in ("ode1", "ode2"):
+        return run_ode(model.generator, family, E0, cfg, order=int(proto[-1]), with_temps=emit_beta)
+    if proto == "ode-temperature":
+        beta0 = beta_probe if beta_probe is not None else float(family.beta_of(E0)[0])
+        return run_ode_temperature(model.generator, family, beta0, cfg)
+    times = np.arange(cfg.n_steps() + 1) * cfg.dt  # closed-form
+    params = qubit_E_closed_form(times, float(E0[0]), model.qubit).reshape(-1, 1)
     temps = None
     if emit_beta:
         temps = np.array([[qubit_beta_closed_form(E, model.qubit.omega0)] for E in params[:, 0]])
     return Trajectory(times, params, temps, meta={"protocol": "closed-form"})
 
 
-def run_protocol(proto: str, model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig,
-                 E0: np.ndarray, beta_probe: float | None, emit_beta: bool) -> Trajectory:
-    if proto == "discrete":
-        return run_discrete(model.generator, family, E0, cfg, with_temps=emit_beta)
-    if proto == "ode1":
-        return run_ode(model.generator, family, E0, cfg, order=1, with_temps=emit_beta)
-    if proto == "ode2":
-        return run_ode(model.generator, family, E0, cfg, order=2, with_temps=emit_beta)
-    if proto == "ode-temperature":
-        beta0 = beta_probe if beta_probe is not None else float(family.beta_of(E0)[0])
-        return run_ode_temperature(model.generator, family, beta0, cfg)
-    return _closed_form_trajectory(model, cfg, float(E0[0]), emit_beta)
-
-
 def write_csv(path: str, traj: Trajectory) -> None:
-    M = traj.params.shape[1]
-    header = ["t"] + [f"E_{m + 1}" for m in range(M)]
+    header = ["t"] + [f"E_{m + 1}" for m in range(traj.params.shape[1])]
     if traj.temps is not None:
         header += [f"beta_{m + 1}" for m in range(traj.temps.shape[1])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -461,8 +458,7 @@ def _analytic_check(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig) 
         raise ConfigError("generic_vs_analytic needs a gibbs-canonical ansatz over the "
                           "model energy observable")
     limit = ContinuumLimit(model.generator, family, cfg)
-    dev_a = 0.0
-    dev_b = 0.0
+    dev_a = dev_b = 0.0
     if model.kind == "qubit":
         p = model.qubit
         for E in np.linspace(0.05, 0.95, 19) * p.omega0:
@@ -478,30 +474,18 @@ def _analytic_check(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig) 
     return {"generic_vs_analytic_A": dev_a, "generic_vs_analytic_B": dev_b}
 
 
-def _scenario_context(scenario: dict, dt_override: float | None = None):
-    strob_section = dict(_require_map(scenario["strob"], "strob"))
-    if dt_override is not None:
-        strob_section["dt"] = dt_override
-        strob_section.pop("alpha", None)
-        strob_section.pop("ode_step", None)
-    cfg = build_config(strob_section)
+def _scenario_context(scenario: dict, dt: float | None = None):
+    cfg = build_config(scenario["strob"], dt)
     model = build_model(scenario["model"], cfg.dt)
     family = build_ansatz(scenario["ansatz"], model)
-    checks = dict(_require_map(scenario.get("checks", {}) or {}, "checks"))
-    _known_keys(checks, {"fd_mode", "generic_vs_analytic"}, "checks")
-    checks = {key: _as_bool(value, f"checks.{key}") for key, value in checks.items()}
-    return model, family, cfg, checks
+    return model, family, cfg, read(CHECKS, scenario["checks"], "checks")
 
 
 def cmd_simulate(scenario: dict, out_dir: str) -> int:
     name = scenario["name"]
     model, family, cfg, checks = _scenario_context(scenario)
-    protocols = _check_protocols(scenario.get("protocols"), model, family)
-    output = dict(_require_map(scenario.get("output", {}) or {}, "output"))
-    _known_keys(output, {"emit_beta"}, "output")
-    emit_beta = _as_bool(output.get("emit_beta", False), "output.emit_beta")
-    if "initial" not in scenario:
-        raise ConfigError("scenario is missing the required key 'initial'")
+    protocols = _check_protocols(scenario["protocols"], model, family)
+    emit_beta = read(OUTPUT, scenario["output"], "output")["emit_beta"]
     E0, beta_probe = build_initial(scenario["initial"], family)
 
     summary: dict = {
@@ -521,19 +505,16 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
         summary[f"stationary_{proto}"] = traj.params[-1]
         if traj.temps is not None:
             summary[f"stationary_beta_{proto}"] = traj.temps[-1]
-        tau = estimate_tau(traj)
-        summary[f"tau_{proto}"] = tau
+        summary[f"tau_{proto}"] = estimate_tau(traj)
         diagnostics[f"final_step_delta_{proto}"] = (
             float(np.linalg.norm(traj.params[-1] - traj.params[-2])) if len(traj) > 1 else 0.0)
-        if proto == "ode2" and checks.get("fd_mode"):
+        if proto == "ode2" and checks["fd_mode"]:
             limit, E = ContinuumLimit(model.generator, family, cfg), traj.params[-1]
             diagnostics["fd_gradient_deviation_ode2"] = float(np.max(np.abs(
                 limit.fd_gradient(E) - limit.moments(E)[2])))
-    for i, p1 in enumerate(protocols):
-        for p2 in protocols[i + 1:]:
-            diagnostics[f"deviation_{p1}_vs_{p2}"] = _grid_deviation(trajectories[p1],
-                                                                     trajectories[p2])
-    if checks.get("generic_vs_analytic"):
+    for p1, p2 in combinations(protocols, 2):
+        diagnostics[f"deviation_{p1}_vs_{p2}"] = _grid_deviation(trajectories[p1], trajectories[p2])
+    if checks["generic_vs_analytic"]:
         diagnostics.update(_analytic_check(model, family, cfg))
     summary["diagnostics"] = diagnostics
     _dump_json(os.path.join(out_dir, f"{name}_summary.json"), summary)
@@ -545,7 +526,7 @@ def _compare_point(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig, E
     ode1 = run_ode(model.generator, family, E0, cfg, order=1)
     ode2 = run_ode(model.generator, family, E0, cfg, order=2)
     return {
-        "dt": cfg.dt, "alpha": cfg.alpha, "trajectories": (disc, ode1, ode2),
+        "alpha": cfg.alpha, "trajectories": (disc, ode1, ode2),
         "deviation_ode1": _grid_deviation(disc, ode1),
         "deviation_ode2": _grid_deviation(disc, ode2),
         "deviation_ode1_vs_ode2": _grid_deviation(ode1, ode2),
@@ -554,29 +535,20 @@ def _compare_point(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig, E
 
 def cmd_compare(scenario: dict, out_dir: str) -> int:
     name = scenario["name"]
-    compare = dict(_require_map(scenario.get("compare", {}) or {}, "compare"))
-    _known_keys(compare, {"dts"}, "compare")
-    dts = compare.get("dts")
-    if not dts or not isinstance(dts, (list, tuple)) or len(dts) < 2:
+    dts = read(COMPARE, scenario["compare"], "compare")["dts"]
+    if len(dts) < 2:
         raise ConfigError("compare.dts must list at least two dt values")
-    dts = [_as_float(dt, "compare.dts") for dt in dts]
-    if "initial" not in scenario:
-        raise ConfigError("scenario is missing the required key 'initial'")
     rungs = []  # every rung is configured before any runs, so a bad one fails up front
     for dt in dts:
-        model, family, cfg, _ = _scenario_context(scenario, dt_override=dt)
+        model, family, cfg, _ = _scenario_context(scenario, dt)
         rungs.append((model, family, cfg, build_initial(scenario["initial"], family)[0]))
     points = [_compare_point(*rung) for rung in rungs]
 
-    report: dict = {"name": name, "dts": dts,
-                    "model": _require_map(scenario["model"], "model").get("kind"),
-                    "ansatz": _require_map(scenario["ansatz"], "ansatz").get("kind")}
-    dev1 = [pt["deviation_ode1"] for pt in points]
-    dev2 = [pt["deviation_ode2"] for pt in points]
-    report["deviation_ode1"] = dev1
-    report["deviation_ode2"] = dev2
-    report["deviation_ode1_vs_ode2"] = [pt["deviation_ode1_vs_ode2"] for pt in points]
-    report["alpha"] = [pt["alpha"] for pt in points]
+    report: dict = {"name": name, "dts": dts, "model": scenario["model"]["kind"],
+                    "ansatz": scenario["ansatz"]["kind"]}
+    for key in ("alpha", "deviation_ode1", "deviation_ode2", "deviation_ode1_vs_ode2"):
+        report[key] = [pt[key] for pt in points]
+    dev1, dev2 = report["deviation_ode1"], report["deviation_ode2"]
     ratios = [a / b if b > 0.0 else None for a, b in zip(dev2, dev2[1:])]
     report["ratio_ode2"] = ratios
     report["order_ode2"] = [None if r is None or r <= 0.0 else float(np.log2(r)) for r in ratios]
@@ -600,40 +572,29 @@ def cmd_fit(scenario: dict, out_dir: str) -> int:
     model, family, cfg, _ = _scenario_context(scenario)
     if not isinstance(family, GibbsAnsatz):
         raise ConfigError("the fit command needs a Gibbs ansatz")
-    fit_section = dict(_require_map(scenario.get("fit", {}) or {}, "fit"))
-    _known_keys(fit_section, {"target_E", "tail_of", "tol", "max_iter"}, "fit")
-    tol = _as_float(fit_section.get("tol", 1e-10), "fit.tol")
-    max_iter = _as_int(fit_section.get("max_iter", 200), "fit.max_iter")
+    fit = read(FIT, scenario["fit"], "fit")
     try:
-        _check_fit_settings(tol, max_iter)
+        _check_fit_settings(fit["tol"], fit["max_iter"])
     except ValidationError as err:
         raise ConfigError(f"invalid fit settings: {err}") from err
     report: dict = {"name": name, "model": model.kind, "ansatz": family.label}
-    if fit_section.get("target_E") is not None:
-        target = fit_section["target_E"]
-        if not isinstance(target, (list, tuple)):
-            target = [target]
-        target = np.array([_as_float(e, "fit.target_E") for e in target])
+    if fit["target_E"] is not None:
+        target = fit["target_E"]
         report["target_source"] = "target_E"
-    elif fit_section.get("tail_of"):
-        proto = fit_section["tail_of"]
-        protocols = _check_protocols([proto], model, family)
-        if "initial" not in scenario:
-            raise ConfigError("scenario is missing the required key 'initial'")
+    elif fit["tail_of"] is not None:
+        proto = _check_protocols([fit["tail_of"]], model, family)[0]
         E0, beta_probe = build_initial(scenario["initial"], family)
-        traj = run_protocol(protocols[0], model, family, cfg, E0, beta_probe, False)
-        target = traj.params[-1]
+        target = run_protocol(proto, model, family, cfg, E0, beta_probe, False).params[-1]
         report["target_source"] = f"tail_of {proto}"
     else:
         raise ConfigError("fit needs fit.target_E or fit.tail_of")
     if target.shape != (family.size,):
         raise ConfigError(f"fit target has {target.shape[0]} entries, the ansatz has {family.size}")
-    beta, info = fit_beta(family.relevant, target, tol=tol, max_iter=max_iter, full_output=True)
-    report["target"] = target
-    report["beta"] = beta
-    report["residual"] = info["residual"]
-    report["iterations"] = info["iterations"]
-    diagnostics: dict = {"fit_tol": tol}
+    beta, info = fit_beta(family.relevant, target, tol=fit["tol"], max_iter=fit["max_iter"],
+                          full_output=True)
+    report.update(target=target, beta=beta, residual=info["residual"],
+                  iterations=info["iterations"])
+    diagnostics: dict = {"fit_tol": fit["tol"]}
     if model.kind == "qubit" and family.size == 1:
         diagnostics["closed_form_beta"] = qubit_beta_closed_form(float(target[0]),
                                                                  model.qubit.omega0)
@@ -652,7 +613,7 @@ def cmd_analyze_invariance(scenario: dict, out_dir: str) -> int:
         "invariant": result.invariant, "tolerance": result.tolerance,
     }
     diagnostics: dict = {}
-    if "initial" in scenario:
+    if scenario["initial"] != {}:  # the initial point is optional here: it adds the bracket
         E0, _ = build_initial(scenario["initial"], family)
         a, b, W = ContinuumLimit(model.generator, family, cfg).moments(E0)
         report["bracket_norm"] = float(np.max(np.abs(b - W @ a)))
@@ -698,18 +659,19 @@ def main(argv=None) -> int:
         "analyze-invariance": cmd_analyze_invariance,
     }
     try:
-        scenario = load_scenario(args.scenario)
-        out_dir = args.out_dir
-        if out_dir != "." and not os.path.isdir(out_dir):
-            os.makedirs(out_dir, exist_ok=True)
-        return handlers[args.command](scenario, out_dir)
+        # a numerical overflow or invalid operation anywhere stops the command
+        # (exit 3) instead of passing a warning and a non-finite value on
+        with np.errstate(over="raise", invalid="raise"):
+            scenario = load_scenario(args.scenario)
+            os.makedirs(args.out_dir, exist_ok=True)
+            return handlers[args.command](scenario, args.out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"config error: cannot write outputs: {err}", file=sys.stderr)
         return 2
-    except ThermostrobeError as err:
+    except (ThermostrobeError, ArithmeticError) as err:  # numpy's, and Python's float overflow
         print(f"error: {err}", file=sys.stderr)
         return 3
 

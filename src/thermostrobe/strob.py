@@ -74,7 +74,12 @@ class StrobConfig:
             raise ValidationError(f"lam must be nonnegative, got {self.lam}")
         if self.horizon < 0.0:
             raise ValidationError(f"horizon must be nonnegative, got {self.horizon}")
-        implied = self.lam**2 * self.dt
+        try:
+            implied = self.lam**2 * self.dt
+        except OverflowError:  # lam**2 beyond the float range
+            implied = float("inf")
+        if not isfinite(implied):
+            raise ValidationError(f"lam^2 dt overflows for lam={self.lam}, dt={self.dt}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", implied)
         elif abs(self.alpha - implied) > 1e-12 * (1.0 + abs(self.alpha)):
@@ -134,16 +139,18 @@ def _check_cap(steps: float) -> None:
 def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1):
     """Times and rows of x0 advanced over n intervals, one advance call per interval.
 
-    A ThermostrobeError raised while advancing gets the interval number and
-    its start time; a run of more than STEP_CAP_DEFAULT steps in all is refused.
+    A ThermostrobeError or an ArithmeticError (numpy's FloatingPointError
+    under np.errstate, a Python float overflow) raised while advancing gets
+    the interval number and its start time; a run of more than
+    STEP_CAP_DEFAULT steps in all is refused.
     """
     _check_cap(n * substeps)
     rows = [x0]
     for k in range(n):
         try:
             rows.append(advance(rows[-1]))
-        except ThermostrobeError as err:
-            err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err.args[0] if err.args else err}",)
+        except (ThermostrobeError, ArithmeticError) as err:
+            err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err}",)
             raise
     return np.arange(n + 1) * interval, np.array(rows)
 
@@ -382,11 +389,10 @@ def _affine_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajector
     for _ in range(batch):
         powers.append(step @ powers[-1])
     stages = np.array([P @ Rs for Rs in powers[:batch] for P in (eye, P2, P3, P4)])[:, :M]
-    full, rest = divmod(n_sub, batch)
-    counts = [batch] * full + ([rest] if rest else [])
 
     def advance(x: np.ndarray) -> np.ndarray:
-        for count in counts:
+        for start in range(0, n_sub, batch):
+            count = min(batch, n_sub - start)
             limit.family.feasible_block(stages[:4 * count] @ x)
             x = powers[count] @ x
         return x

@@ -112,6 +112,29 @@ def test_config_ode_step_refuses_overflowing_ratio():
         StrobConfig(dt=0.1, horizon=1.0, ode_step=5e-324)
 
 
+@pytest.mark.parametrize("lam, dt", [(1e200, 0.1), (1e154, 1e10)],
+                         ids=["square-overflows", "product-overflows"])
+def test_config_refuses_overflowing_alpha(lam, dt):
+    with pytest.raises(ValidationError, match="overflows"):
+        StrobConfig(lam=lam, dt=dt, horizon=0.0)
+
+
+@pytest.mark.parametrize("lam, dt", [(0.3, 0.07), (1e150, 1e-10), (1e-160, 0.1), (0.0, 0.1)])
+def test_config_alpha_is_lam_squared_dt_exactly(lam, dt):
+    assert StrobConfig(lam=lam, dt=dt, horizon=0.0).alpha == lam**2 * dt
+
+
+def test_affine_walk_with_huge_substep_count_is_refused_or_empty():
+    # dt / ode_step of 1e299 substeps: the cap refuses it before any stage table is laid out
+    gen = GkslGenerator(np.zeros((2, 2)), ())
+    family = PinchingAnsatz(np.diag([1.0, -1.0]))
+    with pytest.raises(CapacityError, match="above the cap"):
+        run_ode(gen, family, [0.5], StrobConfig(dt=0.1, horizon=0.2, ode_step=1e-300), order=2)
+    # a zero-step horizon runs no interval at all, however many substeps one would take
+    traj = run_ode(gen, family, [0.5], StrobConfig(dt=1e200, horizon=0.2), order=2)
+    assert traj.params.tolist() == [[0.5]]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"lam": float("nan")},
     {"horizon": float("inf")},

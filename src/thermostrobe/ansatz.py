@@ -12,6 +12,7 @@ rho -> state_of(Tr(P rho)).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot
@@ -178,7 +179,8 @@ class _GibbsPoint:
     populations q taken from the shifted weights; means holds Tr(X_m rho)
     for every row of the stack, from one product with q.  A non-finite beta,
     or exponents so large that the eigensolve fails or the shifted spectrum
-    overflows, raise DomainError.
+    overflows, raise DomainError.  attach evaluates another stack at the
+    same point, so a fit point reads images with no second eigensolve.
     """
 
     def __init__(self, relevant: RelevantSet, beta: np.ndarray, stack: np.ndarray | None = None):
@@ -207,11 +209,25 @@ class _GibbsPoint:
         weights = np.exp(-self.k)
         self.Z = float(weights.sum())
         self.q = weights / self.Z
+        self._read(X, M)
+
+    def _read(self, X: np.ndarray, M: int) -> None:
+        """Take X, the stack rotated into U (or a table), as the point's stack."""
         self.X = X
         self.P = X[:M]
         self.means = (X if self.diagonal else X.diagonal(0, 1, 2).real) @ self.q
         self.E = self.means[:M]
         self._slopes = None
+
+    def attach(self, stack: np.ndarray) -> _GibbsPoint:
+        """The same point evaluating another stack [P; X] (RelevantSet.point_stack):
+        its images are rotated into U, and nothing is diagonalized again."""
+        point = copy(self)
+        point.__dict__.pop("jacobian", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = stack if self.diagonal else self.U.conj().T @ stack @ self.U
+        point._read(X, len(self.E))
+        return point
 
     def slopes(self, rows: int) -> np.ndarray:
         """D_mn = d Tr(X_m rho) / d beta_n for the first rows of the stack: one
@@ -466,13 +482,19 @@ def extract_params(family: AnsatzFamily, rho) -> np.ndarray:
     rho = require_square(rho, "state")
     if rho.shape[0] != family.dim:
         raise ValidationError("state dimension does not match the family")
-    out = np.empty(family.size)
-    for m, P in enumerate(family.relevant.observables):
-        val = frobenius(P, rho)
-        if abs(val.imag) > IMAG_TOL * scale_of(rho):
-            raise ValidationError(f"extracted parameter {m} has imaginary part {val.imag:.3e}")
-        out[m] = val.real
-    return out
+    return _real_parts(np.array([frobenius(P, rho) for P in family.relevant.observables]), scale_of(rho))
+
+
+def _real_parts(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Real parts of expectations z (a vector, or rows of them); ValidationError at the
+    first whose imaginary part exceeds IMAG_TOL * scale, with its row in .row."""
+    bad = np.argwhere(np.abs(z.imag) > IMAG_TOL * scale)
+    if bad.size:
+        first = tuple(bad[0])
+        err = ValidationError(f"extracted parameter {first[-1]} has imaginary part {z.imag[first]:.3e}")
+        err.row = first[0]
+        raise err
+    return z.real.copy()
 
 
 def posterior(family: AnsatzFamily, rho) -> np.ndarray:
@@ -575,13 +597,16 @@ class _BlockCoords:
 
 
 def _block_psd_check(S: np.ndarray, what: str) -> None:
-    """DomainError when S, or the first matrix of a stack S (n, d, d), has an
-    eigenvalue below PSD_FLOOR * scale_of; one batched eigvalsh for a stack."""
+    """DomainError when S, or a matrix of a stack S (n, d, d), has an eigenvalue below
+    PSD_FLOOR * scale_of; one batched eigvalsh for a stack, and the error reports the
+    first such matrix, with its index in .row."""
     wmin = np.linalg.eigvalsh(hermitize(S))[..., 0]
     bad = np.flatnonzero(wmin < PSD_FLOOR * (1.0 + np.abs(S).max(axis=(-2, -1))))
     if bad.size:
-        raise DomainError(f"{what} lies outside the feasible domain: "
+        err = DomainError(f"{what} lies outside the feasible domain: "
                           f"eigenvalue {wmin.flat[bad[0]]:.3e} < 0")
+        err.row = int(bad[0])
+        raise err
 
 
 class _LinearAnsatz(AnsatzFamily):
@@ -600,7 +625,7 @@ class _LinearAnsatz(AnsatzFamily):
     def feasible_block(self, E) -> np.ndarray:
         """The block-coordinate matrix S(E); DomainError when it is not PSD.  Rows E
         (n, M) give the stack of their matrices, checked in one batch, and the error
-        reports the first row that is not PSD."""
+        reports the first row that is not PSD (its index in .row)."""
         E = np.asarray(E, dtype=float)
         S = self._coords.assemble(E if E.ndim == 2 else _as_params(E, self.size), trace=1.0)
         _block_psd_check(S, self._domain)

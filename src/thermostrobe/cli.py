@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 from copy import copy
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import isfinite
 
@@ -325,20 +326,26 @@ def build_ansatz(section, model: ModelBundle) -> AnsatzFamily:
             raise ConfigError(f"{kind}: a custom-gksl model needs model.observable or an "
                               "explicit ansatz observable")
         v["observable"] = model.energy_observable
+    d = model.generator.dim
     try:
         if kind == "gibbs-canonical":
-            return GibbsAnsatz.canonical(v["observable"], fit_tol=v["fit_tol"])
-        if kind == "gibbs-generalized":
-            return GibbsAnsatz(v["observables"], fit_tol=v["fit_tol"])
-        if kind == "pinching":
-            return PinchingAnsatz(v["observable"])
-        if kind == "selective":
-            return SelectiveAnsatz(v["observable"], v["eigenvalue"])
-        if v["dims"][0] * v["dims"][1] != model.generator.dim:  # before dS^2 - 1 observables are built
-            raise ConfigError(f"ansatz.dims must multiply to the model dimension {model.generator.dim}")
-        return FactorizedAnsatz(v["bath_state"], v["dims"])
+            family = GibbsAnsatz.canonical(v["observable"], fit_tol=v["fit_tol"])
+        elif kind == "gibbs-generalized":
+            family = GibbsAnsatz(v["observables"], fit_tol=v["fit_tol"])
+        elif kind == "pinching":
+            family = PinchingAnsatz(v["observable"])
+        elif kind == "selective":
+            family = SelectiveAnsatz(v["observable"], v["eigenvalue"])
+        elif v["dims"][0] * v["dims"][1] != d:  # before dS^2 - 1 observables are built
+            raise ConfigError(f"ansatz.dims must multiply to the model dimension {d}")
+        else:
+            family = FactorizedAnsatz(v["bath_state"], v["dims"])
     except ThermostrobeError as err:
         raise ConfigError(f"invalid ansatz: {err}") from err
+    if family.dim != d:
+        raise ConfigError(f"invalid ansatz: its observables are {family.dim}x{family.dim}, "
+                          f"the model dimension is {d}")
+    return family
 
 
 def build_config(section, dt: float | None = None) -> StrobConfig:
@@ -632,6 +639,7 @@ def cmd_analyze_invariance(scenario: dict, out_dir: str) -> int:
 # Entry point
 
 
+@cache  # one parser per process: main runs once per command in a long-lived caller too
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermostrobe",

@@ -154,6 +154,15 @@ class Propagator:
             raise ValidationError("state dimension does not match the propagator")
         return hermitize(unvec(self.matrix @ vec(rho), rho.shape[0]))
 
+    def adjoint(self, X: np.ndarray) -> np.ndarray:
+        """The Heisenberg images Phi*(X_m) of a stack X (n, d, d), defined by
+        Tr(Phi*(X)^dag rho) = Tr(X^dag Phi(rho)): vec(Phi*(X)) = matrix^dag vec(X)."""
+        n, d = len(X), self.generator.dim
+        if X.shape[1:] != (d, d):
+            raise ValidationError("observable dimension does not match the propagator")
+        images = X.transpose(0, 2, 1).reshape(n, d * d) @ self.matrix.conj()
+        return images.reshape(n, d, d).transpose(0, 2, 1)
+
 
 def propagate(gen: GkslGenerator, rho, t: float) -> np.ndarray:
     """Evolve a state for time t under the generator."""
@@ -161,17 +170,11 @@ def propagate(gen: GkslGenerator, rho, t: float) -> np.ndarray:
 
 
 def choi_matrix(gen: GkslGenerator, t: float) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| kron Phi_t(|i><j|) of the time-t propagator."""
+    """Choi matrix sum_ij |i><j| kron Phi_t(|i><j|) of the time-t propagator: the entry
+    (i a, j b) is Phi_t(|i><j|)_ab, the column j d + i of the propagator at row b d + a."""
     d = gen.dim
-    prop = Propagator.build(gen, t)
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            block = unvec(prop.matrix @ vec(unit), d)
-            C[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-    return hermitize(C)
+    T = Propagator.build(gen, t).matrix.reshape(d, d, d, d)  # (b, a, j, i)
+    return hermitize(T.transpose(3, 1, 2, 0).reshape(d * d, d * d))
 
 
 def choi_psd_check(gen: GkslGenerator, t: float) -> float:

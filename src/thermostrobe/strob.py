@@ -33,7 +33,7 @@ from .ansatz import (
     _as_relevant,
     _GibbsPoint,
     _LinearAnsatz,
-    extract_params,
+    _real_parts,
 )
 from .errors import (
     CapacityError,
@@ -49,7 +49,7 @@ from .matcore import frobenius
 STEP_CAP_DEFAULT = 10_000_000
 GRID_TOL = 1e-9  # grid mismatch allowed, as a fraction of the step count (at least 1 step)
 FD_STEP = 1e-5
-STAGE_BATCH = 64  # RK4 steps whose stage points one batched feasibility check covers
+CHECK_BATCH = 256  # points (rows or RK4 stage points) one batched feasibility check covers
 
 
 @dataclass(frozen=True)
@@ -150,20 +150,105 @@ def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1):
         try:
             rows.append(advance(rows[-1]))
         except (ThermostrobeError, ArithmeticError) as err:
-            err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err}",)
-            raise
+            raise _at_step(err, k, interval)
     return np.arange(n + 1) * interval, np.array(rows)
+
+
+def _at_step(err: Exception, k: int, interval: float) -> Exception:
+    """err with the protocol step k and its start time put before its message."""
+    err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err}",)
+    return err
+
+
+def _affine_walk(family: _LinearAnsatz, x0: np.ndarray, n: int, interval: float, segments,
+                 pairings: np.ndarray | None = None) -> np.ndarray:
+    """Rows x_0..x_n of an affine recursion on x = (E, 1), checked as a run of protocol steps.
+
+    segments() gives the segments (R, S) of one interval: a segment from y has the
+    check points S @ y, which must be feasible, and ends at R @ y.  With complex
+    pairings, the imaginary parts of pairings @ y at every segment start must stay
+    within IMAG_TOL, as in extract_params.  Chunks of at most CHECK_BATCH points are
+    advanced, then checked, their points in one feasible_block call.  The first
+    failure raises with its protocol step, as checking each step in turn would: an
+    infeasible point, an imaginary part, or an ArithmeticError of the recursion.
+    """
+    rows = np.empty((n + 1, len(x0)))
+    rows[0] = y = x0
+    chunk, size = [], 0  # (step, start, check points) of the segments advanced, not yet checked
+
+    def first_failure(part):
+        """(step, error) of the first failure among the segments part, checked at once."""
+        failure, end = None, len(part)
+        try:
+            family.feasible_block(np.concatenate([points for _, _, points in part]))
+        except DomainError as err:
+            end = int(np.searchsorted(np.cumsum([len(points) for _, _, points in part]), err.row, "right"))
+            failure = part[end][0], err
+        if pairings is not None and end:  # only an earlier step's imaginary part comes first
+            try:
+                _real_parts(np.array([start for _, start, _ in part[:end]]) @ pairings.T)
+            except ValidationError as err:
+                failure = part[err.row][0], err
+        return failure
+
+    def check(failure=None):
+        """Check the chunk: its first failure raises, or else failure, a later one."""
+        try:
+            failure = (chunk and first_failure(chunk)) or failure
+        except ArithmeticError:  # a point near the float range: check segment by segment
+            for segment in chunk:
+                try:
+                    found = first_failure([segment])
+                except ArithmeticError as err:
+                    found = segment[0], err
+                if found:
+                    failure = found
+                    break
+        chunk.clear()
+        if failure:
+            raise _at_step(failure[1], failure[0], interval)
+
+    for k in range(n):
+        for R, S in segments():
+            if size + len(S) > CHECK_BATCH:
+                check()
+                size = 0
+            try:
+                chunk.append((k, y, S @ y))
+                y = R @ y
+            except ArithmeticError as err:
+                check((k, err))
+            size += len(S)
+        rows[k + 1] = y
+    check()
+    return rows
 
 
 def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
                  with_temps: bool = False) -> Trajectory:
-    """Iterate the discrete protocol for horizon / dt rounds: each round evolves
-    the family state for lam * dt and re-extracts its parameters."""
+    """Iterate the discrete protocol for horizon / dt rounds in the Heisenberg picture:
+    a round maps E_k to E_{k+1,m} = Tr(Phi*(P_m) rho(E_k)), Phi = exp(lam dt L).
+
+    The images Phi*(P_m) are built once and read as ContinuumLimit reads [A; B]:
+    from the point fitted to E_k (Gibbs), from state_of(E_k) (selective), or as the
+    affine recursion of a linear family, whose round k checks E_k (_affine_walk).
+    """
     n = cfg.n_steps()
-    propagator = Propagator.build(gen, cfg.lam * cfg.dt)
-    limit = ContinuumLimit(gen, family, cfg)
-    times, params = _walk(_as_params(E0, family.size), n, cfg.dt,
-                          lambda E: extract_params(family, propagator.apply(limit.state(E))))
+    E0 = _as_params(E0, family.size)
+    images = Propagator.build(gen, cfg.lam * cfg.dt).adjoint(family.relevant.stack)
+    limit = ContinuumLimit(gen, family, cfg, images)
+    M = family.size
+    if limit._linear:
+        columns = limit._columns
+        step = np.vstack([columns.real, np.eye(M + 1)[M]])
+        own_row = np.eye(M + 1)[None, :M]  # round k checks E_k itself
+        rows = _affine_walk(family, np.append(E0, 1.0), n, cfg.dt, lambda: ((step, own_row),), columns)
+        times, params = np.arange(n + 1) * cfg.dt, rows[:, :M]
+    elif limit._gibbs:
+        times, params = _walk(E0, n, cfg.dt, lambda E: limit._point(E).means[M:])
+    else:
+        times, params = _walk(E0, n, cfg.dt, lambda E: _real_parts(
+            np.einsum("mab,ab->m", images.conj(), family.state_of(E))))
     temps = _temps_for(limit, params) if with_temps else None
     return Trajectory(times, params, temps, meta={"protocol": "discrete", "dt": cfg.dt, "lam": cfg.lam})
 
@@ -184,29 +269,34 @@ def _temps_for(limit: ContinuumLimit, params: np.ndarray) -> np.ndarray | None:
 class ContinuumLimit:
     """The continuum limit of the measure-evolve protocol for one generator,
     family and config: the moments (<A>, <B>, W) at a point and the parameter
-    velocity lam <A> + (alpha/2)(<B> - W <A>) built from them.
+    velocity lam <A> + (alpha/2)(<B> - W <A>) built from them.  Given another
+    image stack (run_discrete's Phi*(P)), the same evaluators read that.
 
     <A_m> and <B_m> are the expectations of the Heisenberg images
     A_m = L*(P_m) and B_m = L*(A_m), built once, and W_mj = d<A_m>/dE_j is
     the velocity gradient along the family, always analytic; fd_gradient gives
     its central-difference counterpart as a check.  Gibbs fits are
-    warm-started from the previous fit, and their exponents are kept in order
-    in fitted.  A gibbs_point evaluates the stack [P; A; B] at once, and one
+    warm-started from the previous fit, their exponents kept in order in
+    fitted, and the fit point reads the images (_GibbsPoint.attach).  A
+    gibbs_point evaluates the stack [P; A; B] at once, and one
     contraction of its [P; A] rows gives J and the gradient in beta,
     G = d<A>/dbeta, so W = G J^-1; when the Gibbs observables commute the
     stack is a table of diagonals built once, and no d x d matrix is formed.
     A linear family's state is R0 + sum_j E_j D_j, so the moments are affine
-    in E: the images are paired with R0 and D once, and each point only checks
-    feasibility and reads the table (W is its constant slope).
+    in E: the images are paired with D and R0 once (_columns), and each point
+    only checks feasibility and reads the table (W is its constant slope).
     """
 
-    def __init__(self, gen: GkslGenerator, family: AnsatzFamily, cfg: StrobConfig):
+    def __init__(self, gen: GkslGenerator, family: AnsatzFamily, cfg: StrobConfig,
+                 images: np.ndarray | None = None):
         self.gen = gen
         self.family = family
         self.cfg = cfg
         self._gibbs = isinstance(family, GibbsAnsatz)
         self._linear = isinstance(family, _LinearAnsatz)
         self.fitted: list[np.ndarray] = []
+        if images is not None:
+            self._images = images
 
     @cached_property
     def _images(self) -> np.ndarray:
@@ -224,27 +314,30 @@ class ContinuumLimit:
         return _GibbsPoint(self.family.relevant, beta, self._point_stack)
 
     @cached_property
+    def _columns(self) -> np.ndarray:
+        """Pairings Tr(X^dag S) of each image X with S = D_1..D_M, R0 of a linear family,
+        complex: the moments of x = (E, 1) are the real part of _columns @ x."""
+        R0, D = self.family.affine_parts
+        return np.einsum("kab,jab->kj", self._images.conj(), np.concatenate([D, R0[None]]))
+
+    @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """Offset and slope of the affine moments (<A>, <B>) = offset + slope @ E of a linear family."""
-        R0, D = self.family.affine_parts
-        T = np.einsum("kab,jab->kj", self._images.conj(), np.concatenate([R0[None], D])).real
-        return T[:, 0].copy(), T[:, 1:].copy()
+        T = self._columns.real
+        return T[:, -1].copy(), T[:, :-1].copy()
 
     def _point(self, E: np.ndarray) -> _GibbsPoint:
-        """The Gibbs point fitted to E, warm-started from the previous fit."""
+        """The Gibbs point fitted to E, warm-started from the previous fit, reading the images."""
         point = self.family.point_of(E, beta_init=self.fitted[-1] if self.fitted else None)
         self.fitted.append(point.beta)
-        return point
-
-    def state(self, E: np.ndarray) -> np.ndarray:
-        return self._point(E).state() if self._gibbs else self.family.state_of(E)
+        return point.attach(self._point_stack)
 
     def moments(self, E, gradient: bool = True):
         """(<A>, <B>, W) at parameters E; W is None without gradient."""
         E = _as_params(E, self.family.size)
         M = self.family.size
         if self._gibbs:
-            point = self.gibbs_point(self._point(E).beta)
+            point = self._point(E)
             a, b, G = self.gibbs_moments(point, gradient)
             return a, b, G @ point.response_inverse() if gradient else None
         if self._linear:
@@ -360,19 +453,20 @@ def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
     return Trajectory(times, rows, meta={"ode_step": h, "substeps": n_sub})
 
 
-def _affine_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
+def _rk4_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
     """integrate's RK4 for a linear family, whose velocity is affine: on x = (E, 1)
     it is x -> aug x with aug = [[K, c], [0, 0]], so every RK4 stage is a fixed matrix.
 
     A step from x evaluates the velocity at the stage points P_k x, with P1 = I,
     P2 = I + (h/2) aug, P3 = I + (h/2) aug P2, P4 = I + h aug P3, and lands on R x,
-    R = I + (h/6) aug (P1 + 2 P2 + 2 P3 + P4).  Each interval maps its stage points
-    P_k R^s x at once, checks them all for feasibility in one batch (the first
-    infeasible stage raises state_of's DomainError) and advances by R^n_sub, in
-    chunks of at most STAGE_BATCH steps so the stage tensor stays small.
+    R = I + (h/6) aug (P1 + 2 P2 + 2 P3 + P4).  An interval is _affine_walk segments
+    of at most CHECK_BATCH / 4 steps: one of s steps from y has the stage points
+    P_k R^j y (j < s), whose first infeasible one raises state_of's DomainError,
+    and ends at R^s y.
     """
     cfg = limit.cfg
-    n_sub, h = _rk4_grid(cfg)
+    n, (n_sub, h) = cfg.n_steps(), _rk4_grid(cfg)
+    _check_cap(n * n_sub)
     M = len(E0)
     offset, slope = limit._table
     columns = np.column_stack([slope, offset])  # moments (<A>, <B>) of x = (E, 1)
@@ -384,21 +478,19 @@ def _affine_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajector
     P3 = eye + (0.5 * h) * aug @ P2
     P4 = eye + h * aug @ P3
     step = eye + (h / 6.0) * aug @ (eye + 2.0 * P2 + 2.0 * P3 + P4)
-    batch = min(n_sub, STAGE_BATCH)
+    batch = min(n_sub, CHECK_BATCH // 4)
     powers = [eye]
     for _ in range(batch):
         powers.append(step @ powers[-1])
     stages = np.array([P @ Rs for Rs in powers[:batch] for P in (eye, P2, P3, P4)])[:, :M]
 
-    def advance(x: np.ndarray) -> np.ndarray:
+    def segments():
         for start in range(0, n_sub, batch):
             count = min(batch, n_sub - start)
-            limit.family.feasible_block(stages[:4 * count] @ x)
-            x = powers[count] @ x
-        return x
+            yield powers[count], stages[:4 * count]
 
-    times, rows = _walk(np.append(E0, 1.0), cfg.n_steps(), cfg.dt, advance, n_sub)
-    return Trajectory(times, rows[:, :M], meta={"ode_step": h, "substeps": n_sub})
+    rows = _affine_walk(limit.family, np.append(E0, 1.0), n, cfg.dt, segments)
+    return Trajectory(np.arange(n + 1) * cfg.dt, rows[:, :M], meta={"ode_step": h, "substeps": n_sub})
 
 
 def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, order: int) -> Trajectory:
@@ -416,7 +508,7 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
 
     A Gibbs family is integrated in beta from the one fit of E0 (the first
     row stays E0, the others are E(beta)); a linear family by the exact RK4
-    maps of its affine velocity (_affine_walk); other families in E."""
+    maps of its affine velocity (_rk4_walk); other families in E."""
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
     limit = ContinuumLimit(gen, family, cfg)
@@ -427,7 +519,7 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
         if not with_temps:
             traj.temps = None
     elif limit._linear:
-        traj = _affine_walk(limit, E0, order)
+        traj = _rk4_walk(limit, E0, order)
     else:
         traj = integrate(lambda E: limit.velocity(E, order), E0, cfg)
     traj.meta = {"protocol": f"ode{order}", **traj.meta}

@@ -172,6 +172,27 @@ def test_factorized_non_integer_dims_is_config_error(tmp_path, capsys):
     assert "config error: ansatz.dims must be an integer" in capsys.readouterr().err
 
 
+SPIN1_Z = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+SPIN1_X = [[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]]
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze-invariance"])
+@pytest.mark.parametrize("model, ansatz", [
+    (QUBIT_BASE["model"], {"kind": "gibbs-canonical", "observable": SPIN1_Z}),
+    ({"kind": "custom-gksl", "hamiltonian": np.eye(2).tolist(), "observable": SPIN1_Z},
+     {"kind": "gibbs-canonical"}),
+    (QUBIT_BASE["model"], {"kind": "gibbs-generalized", "observables": [SPIN1_Z, SPIN1_X]}),
+    (QUBIT_BASE["model"], {"kind": "pinching", "observable": SPIN1_Z}),
+    (QUBIT_BASE["model"], {"kind": "selective", "observable": SPIN1_Z, "eigenvalue": 1.0}),
+], ids=["gibbs-canonical", "model-observable", "gibbs-generalized", "pinching", "selective"])
+def test_family_of_another_dimension_is_config_error(tmp_path, capsys, command, model, ansatz):
+    # a qubit model with 3x3 observables: refused when the family is built, before any run
+    path = scenario_file(tmp_path, variant(QUBIT_BASE, model=model, ansatz=ansatz))
+    assert main([command, path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid ansatz: its observables are 3x3, the model dimension is 2\n")
+
+
 FACTORIZED_BASE = {
     "name": "fact",
     "model": {"kind": "custom-gksl", "hamiltonian": np.eye(4).tolist(), "jumps": []},
@@ -622,6 +643,24 @@ def test_analytic_check_builds_images_once(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # module entry point
+
+
+def test_main_parses_each_call_alone_with_one_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cli._build_parser.cache_clear()
+    path = scenario_file(tmp_path, variant(QUBIT_BASE, protocols=["closed-form"]))
+    invariance = str(SCENARIOS / "qubit_invariance.yaml")
+    assert main(["simulate", path, "--out-dir", "a"]) == 0
+    for bad in (["fit"], ["simulate", path, "--bogus"], ["nope", path], [],
+                ["analyze-invariance", invariance, "--out-dir"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        assert "usage: thermostrobe" in capsys.readouterr().err
+    assert main(["analyze-invariance", invariance]) == 0  # no --out-dir left over from a call before
+    assert (tmp_path / "a" / "mini_summary.json").exists()
+    assert (tmp_path / "qubit_invariance_invariance.json").exists()
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -22,32 +22,22 @@ from thermostrobe import (
     FactorizedAnsatz,
     GkslGenerator,
     PinchingAnsatz,
+    Propagator,
     StrobConfig,
+    ValidationError,
     apply_heisenberg,
     extract_params,
     frobenius,
     integrate,
+    run_discrete,
     run_ode,
 )
-from thermostrobe.strob import FD_STEP
-from tutil import random_density, random_generator
+from thermostrobe.ansatz import IMAG_TOL
+from thermostrobe.strob import CHECK_BATCH, FD_STEP, _affine_walk
+from tutil import random_density, random_factorized, random_generator, random_pinching
 
 TOL = 1e-12
 CFG = StrobConfig(lam=1.3, dt=0.1, horizon=1.0)
-
-
-def random_pinching(rng, d):
-    """Pinching family of an observable with L distinct levels in a random
-    basis; levels repeat (degenerate blocks) whenever L < d."""
-    U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    L = int(rng.integers(1, d + 1))
-    levels = rng.permutation(L).astype(float)
-    w = levels[rng.permutation(np.concatenate([np.arange(L), rng.integers(0, L, size=d - L)]))]
-    return PinchingAnsatz(U @ np.diag(w) @ U.conj().T)
-
-
-def random_factorized(rng, dB):
-    return FactorizedAnsatz(random_density(rng, dB), (2, dB))
 
 
 def dense_moments(gen, fam, E):
@@ -229,3 +219,160 @@ def test_run_ode_interior_stage_leaving_domain_is_caught():
     for order in (1, 2):  # the span is invariant, so both orders decay alike
         assert assert_paths_fail_alike(gen, fam, E0, cfg, order) == \
             ("protocol step 0 (t = 0)", fam._domain)
+
+
+# ---------------------------------------------------------------------------
+# The first infeasible row or stage, wherever it falls among the checked chunks.
+# A decay from level 0 to level 1 at a negative rate pumps level 0: its population,
+# the one parameter of the pinching family of diag(0, 1) and the first of the
+# factorized family's, grows as e^{c t} with c = lam / 10, and the run must fail
+# where the population first passes 1.
+
+
+def pump_run_setup(kind):
+    pump = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|, at a negative rate
+    if kind == "pinching":
+        return GkslGenerator(np.zeros((2, 2)), ((pump, -0.1),), check_rates=False), \
+            PinchingAnsatz(np.diag([0.0, 1.0]))
+    eyeB = np.eye(2)
+    return GkslGenerator(np.zeros((4, 4)), ((np.kron(pump, eyeB), -0.1),), check_rates=False), \
+        FactorizedAnsatz(np.diag([0.3, 0.7]), (2, 2))
+
+
+def start_of(kind, population):
+    return np.array([population] if kind == "pinching" else [population, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["pinching", "factorized"])
+@pytest.mark.parametrize("bad_row", [0, CHECK_BATCH - 1, CHECK_BATCH, 299, 300],
+                         ids=["first", "chunk-end", "chunk-start", "last", "final-unchecked"])
+def test_discrete_first_infeasible_row_gives_its_step(kind, bad_row):
+    # the round map multiplies the population by e^{0.01}; row bad_row is the first above 1
+    gen, fam = pump_run_setup(kind)
+    cfg = StrobConfig(lam=1.0, dt=0.1, horizon=30.0)  # 300 rounds, rows 0..299 are checked
+    E0 = start_of(kind, 1.002 * np.exp(-0.01 * bad_row))
+    ref = schrodinger_run(gen, fam, E0, cfg)
+    if bad_row == cfg.n_steps():  # the final row is reported, never advanced or checked
+        # 300 rounds of a growing map compound the two pictures' rounding of its factor
+        np.testing.assert_allclose(run_discrete(gen, fam, E0, cfg).params, ref, rtol=1e-13)
+        return
+    with pytest.raises(DomainError) as err:
+        run_discrete(gen, fam, E0, cfg)
+    assert str(err.value) == ref
+    assert str(err.value).startswith(f"protocol step {bad_row} (t = ")
+
+
+@pytest.mark.parametrize("kind", ["pinching", "factorized"])
+def test_discrete_infeasible_row_before_rows_near_the_float_range(kind):
+    # a round multiplies the population by 10^77.1: row 1 is infeasible, and row 4 of
+    # the same chunk is near the float range, where checking it overflows
+    gen, fam = pump_run_setup(kind)
+    gen = GkslGenerator(gen.hamiltonian, ((gen.jumps[0][0], -771.0 * np.log(10.0)),), check_rates=False)
+    cfg = StrobConfig(lam=1.0, dt=0.1, horizon=1.0)
+    with np.errstate(over="raise", invalid="raise"):
+        ref = schrodinger_run(gen, fam, start_of(kind, 0.5), cfg)
+        with pytest.raises(DomainError) as err:
+            run_discrete(gen, fam, start_of(kind, 0.5), cfg)
+    assert ref.startswith("protocol step 1 (t = 0.1): ")
+    assert str(err.value) == ref
+
+
+def schrodinger_run(gen, fam, E0, cfg):
+    """Rows of the discrete protocol on propagated states, or its error text."""
+    propagator = Propagator.build(gen, cfg.lam * cfg.dt)
+    rows = [E0]
+    for k in range(cfg.n_steps()):
+        try:
+            rows.append(extract_params(fam, propagator.apply(fam.state_of(rows[-1]))))
+        except DomainError as err:
+            return f"protocol step {k} (t = {k * cfg.dt:.9g}): {err}"
+    return np.array(rows)
+
+
+def rk4_factors(h, c):
+    """Growth of the stage points P_k x of one RK4 step, and of the step R, for x' = c x."""
+    f2 = 1.0 + 0.5 * h * c
+    f3 = 1.0 + 0.5 * h * c * f2
+    f4 = 1.0 + h * c * f3
+    return np.array([1.0, f2, f3, f4]), 1.0 + h * c / 6.0 * (1.0 + 2.0 * f2 + 2.0 * f3 + f4)
+
+
+@pytest.mark.parametrize("kind", ["pinching", "factorized"])
+@pytest.mark.parametrize("n_sub, horizon, bad_stage, step", [
+    (10, 1.0, (0, 0), 0),             # the starting point itself
+    (10, 1.0, (59, 3), 5),            # last stage of the first chunk of 6 intervals
+    (10, 1.0, (60, 1), 6),            # second stage of the next chunk
+    (10, 1.0, (99, 3), 9),            # last stage of the run
+    (100, 0.3, (99, 3), 0),           # last stage of an interval of two chunks
+    (100, 0.3, (163, 3), 1),          # last stage before a chunk boundary inside an interval
+    (100, 0.3, (164, 1), 1),          # second stage after it
+    (100, 0.3, (299, 3), 2),          # last stage of the run
+], ids=["first", "chunk-end", "chunk-start", "last",
+        "64+-interval-end", "64+-chunk-end", "64+-chunk-start", "64+-last"])
+def test_run_ode_first_infeasible_stage_gives_its_step(kind, n_sub, horizon, bad_stage, step):
+    # stage points grow along the run by factors of about 1 + h c / 2, except that a
+    # step's first stage lies just below its predecessor, the last stage of the step
+    # before; so bad_stage = (RK4 step, stage), not a step's first stage after the
+    # run's start, is the first infeasible one when its population alone is above 1
+    gen, fam = pump_run_setup(kind)
+    cfg = StrobConfig(lam=1.0, dt=0.1, horizon=horizon, ode_step=0.1 / n_sub)
+    assert CHECK_BATCH == 256  # 6 intervals of 10 steps, or 64 of an interval's 100, per chunk
+    stages, R = rk4_factors(0.1 / n_sub, 0.1)
+    E0 = start_of(kind, (1.0 + 1e-6) / (R ** bad_stage[0] * stages[bad_stage[1]]))
+    for order in (1, 2):  # the span is invariant, so both orders pump alike
+        with pytest.raises(DomainError) as affine:
+            run_ode(gen, fam, E0, cfg, order=order)
+        with pytest.raises(DomainError) as reference:
+            per_point_run(gen, fam, E0, cfg, order)
+        assert str(affine.value) == str(reference.value)
+        assert str(affine.value).startswith(f"protocol step {step} (t = ")
+
+
+def test_affine_walk_reports_arithmetic_errors_and_imaginary_parts_with_their_step():
+    fam = PinchingAnsatz(np.diag([1.0, 0.0]))
+    stay = np.array([[[0.0, 0.5]]])  # every check point is the population 0.5
+    # x = (E, 1) grows by 1e200 a round: the second round overflows
+    grow = np.array([[1e200, 0.0], [0.0, 1.0]])
+    with np.errstate(over="raise"), \
+            pytest.raises(FloatingPointError, match=r"^protocol step 1 \(t = 0.1\): "):
+        _affine_walk(fam, np.array([1.0, 1.0]), 5, 0.1, lambda: ((grow, stay),))
+    # when the row that overflows is itself infeasible, state_of's error comes first
+    own = np.array([[[1.0, 0.0]]])
+    with np.errstate(over="raise"), pytest.raises(DomainError, match=r"^protocol step 1 \(t = 0.1\): "):
+        _affine_walk(fam, np.array([0.5, 1.0]), 5, 0.1, lambda: ((grow, own),))
+    # the imaginary part of the pairings grows by 2 a round: round 3 is the first above IMAG_TOL
+    double = np.array([[2.0, 0.0], [0.0, 1.0]])
+    pairings = np.array([[0.0, 0.5 + 0.0j]]) + 1j * np.array([[0.6 * IMAG_TOL / 4.0, 0.0]])
+    with pytest.raises(ValidationError) as err:
+        _affine_walk(fam, np.array([1.0, 1.0]), 5, 0.1, lambda: ((double, stay),), pairings)
+    assert str(err.value) == "protocol step 3 (t = 0.3): extracted parameter 0 has imaginary part 1.200e-10"
+    # in one chunk, an infeasible point and an imaginary part raise in the order of their rounds
+    points = np.array([[[0.1, 0.0]]])  # the population E / 10, above 1 from round 4 (E = 16)
+    with pytest.raises(DomainError, match=r"^protocol step 4 \(t = 0.4\): "):
+        _affine_walk(fam, np.array([1.0, 1.0]), 6, 0.1, lambda: ((double, points),),
+                     np.array([[0.0, 0.5]]) + 1j * np.array([[IMAG_TOL / 20.0, 0.0]]))
+    with pytest.raises(ValidationError, match=r"^protocol step 3 \(t = 0.3\): "):
+        _affine_walk(fam, np.array([1.0, 1.0]), 6, 0.1, lambda: ((double, points),), pairings)
+
+
+def test_checks_come_in_bounded_batches(monkeypatch):
+    # one feasible_block call per chunk of at most CHECK_BATCH points, however long the run
+    decay = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    gen = GkslGenerator(np.zeros((2, 2)), ((decay, 0.1),))  # every row stays feasible
+    fam = PinchingAnsatz(np.diag([0.0, 1.0]))
+    sizes = []
+    original = PinchingAnsatz.feasible_block
+
+    def counted(self, E):
+        sizes.append(len(E))
+        return original(self, E)
+
+    monkeypatch.setattr(PinchingAnsatz, "feasible_block", counted)
+    run_discrete(gen, fam, [0.5], StrobConfig(lam=1.0, dt=0.1, horizon=60.0))
+    assert sizes == [CHECK_BATCH, CHECK_BATCH, 88]  # rows 0..599
+    for ode_step, expected in ((0.01, [240] * 3 + [80]),  # 6 intervals of 40 stage points a chunk
+                               (0.001, [256, 144] * 2)):  # 64 + 36 RK4 steps an interval
+        sizes.clear()
+        run_ode(gen, fam, [0.5], StrobConfig(lam=1.0, dt=0.1, horizon=2.0 if ode_step == 0.01 else 0.2,
+                                             ode_step=ode_step), order=2)
+        assert sizes == expected

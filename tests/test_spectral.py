@@ -254,3 +254,33 @@ def test_one_eigensolve_per_beta_route_rhs(monkeypatch, rng, obs, eigh_calls):
             calls.clear()
             limit.beta_velocity(limit.gibbs_point(np.array(beta)), order)
             assert len(calls) == eigh_calls
+
+
+@pytest.mark.parametrize("obs, eigh_calls", [
+    ((SZ1, SX1), 1),
+    ((SZ1, SZ1 @ SZ1), 0),
+], ids=["non-commuting", "commuting"])
+def test_one_eigensolve_per_e_route_moments(monkeypatch, rng, obs, eigh_calls):
+    # the E route fits beta to E and reads [A; B] from the fit point: on a non-commuting
+    # set the fit's own point is the one eigensolve (a warm fit at the same E accepts it)
+    family = GibbsAnsatz(obs)
+    limit = ContinuumLimit(random_generator(rng, 3), family, CFG)
+    E = gibbs_expectations(family.relevant, [0.3, -0.2])
+    limit.moments(E)  # builds the images and the first fit
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for gradient in (True, False):
+        calls.clear()
+        a, b, W = limit.moments(E, gradient)
+        assert len(calls) == eigh_calls
+    monkeypatch.undo()
+    # the same moments as a point built afresh at the fitted exponents
+    ref_a, ref_b, _ = limit.gibbs_moments(limit.gibbs_point(limit.fitted[-1]), False)
+    np.testing.assert_array_equal(a, ref_a)
+    np.testing.assert_array_equal(b, ref_b)

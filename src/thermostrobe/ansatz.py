@@ -487,13 +487,11 @@ def extract_params(family: AnsatzFamily, rho) -> np.ndarray:
 
 def _real_parts(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Real parts of expectations z (a vector, or rows of them); ValidationError at the
-    first whose imaginary part exceeds IMAG_TOL * scale, with its row in .row."""
+    first whose imaginary part exceeds IMAG_TOL * scale."""
     bad = np.argwhere(np.abs(z.imag) > IMAG_TOL * scale)
     if bad.size:
         first = tuple(bad[0])
-        err = ValidationError(f"extracted parameter {first[-1]} has imaginary part {z.imag[first]:.3e}")
-        err.row = first[0]
-        raise err
+        raise ValidationError(f"extracted parameter {first[-1]} has imaginary part {z.imag[first]:.3e}")
     return z.real.copy()
 
 
@@ -599,14 +597,12 @@ class _BlockCoords:
 def _block_psd_check(S: np.ndarray, what: str) -> None:
     """DomainError when S, or a matrix of a stack S (n, d, d), has an eigenvalue below
     PSD_FLOOR * scale_of; one batched eigvalsh for a stack, and the error reports the
-    first such matrix, with its index in .row."""
+    first such matrix."""
     wmin = np.linalg.eigvalsh(hermitize(S))[..., 0]
     bad = np.flatnonzero(wmin < PSD_FLOOR * (1.0 + np.abs(S).max(axis=(-2, -1))))
     if bad.size:
-        err = DomainError(f"{what} lies outside the feasible domain: "
+        raise DomainError(f"{what} lies outside the feasible domain: "
                           f"eigenvalue {wmin.flat[bad[0]]:.3e} < 0")
-        err.row = int(bad[0])
-        raise err
 
 
 class _LinearAnsatz(AnsatzFamily):
@@ -625,7 +621,7 @@ class _LinearAnsatz(AnsatzFamily):
     def feasible_block(self, E) -> np.ndarray:
         """The block-coordinate matrix S(E); DomainError when it is not PSD.  Rows E
         (n, M) give the stack of their matrices, checked in one batch, and the error
-        reports the first row that is not PSD (its index in .row)."""
+        reports the first row that is not PSD."""
         E = np.asarray(E, dtype=float)
         S = self._coords.assemble(E if E.ndim == 2 else _as_params(E, self.size), trace=1.0)
         _block_psd_check(S, self._domain)

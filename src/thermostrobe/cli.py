@@ -204,7 +204,7 @@ SCENARIO = {
 }
 STROB = {
     "lambda": Key(_float, 1.0), "dt": Key(_float), "horizon": Key(_float),
-    "alpha": _optional(_float), "ode_step": _optional(_float),
+    "ode_step": _optional(_float),
 }
 MODELS = {  # one table per model.kind
     "qubit": {
@@ -349,13 +349,12 @@ def build_ansatz(section, model: ModelBundle) -> AnsatzFamily:
 
 
 def build_config(section, dt: float | None = None) -> StrobConfig:
-    """Protocol scales; a given dt (a compare rung's) also resets alpha and ode_step to defaults."""
+    """Protocol scales; a given dt (a compare rung's) also resets ode_step to its default."""
     v = read(STROB, section, "strob")
     if dt is not None:
-        v.update(dt=dt, alpha=None, ode_step=None)
+        v.update(dt=dt, ode_step=None)
     try:
-        cfg = StrobConfig(lam=v["lambda"], dt=v["dt"], horizon=v["horizon"], alpha=v["alpha"],
-                          ode_step=v["ode_step"])
+        cfg = StrobConfig(lam=v["lambda"], dt=v["dt"], horizon=v["horizon"], ode_step=v["ode_step"])
         cfg.n_steps()  # the horizon must be a whole number of dt intervals
     except ValidationError as err:
         raise ConfigError(f"invalid strob config: {err}") from err

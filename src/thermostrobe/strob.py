@@ -60,11 +60,11 @@ class StrobConfig:
     lam: float = 1.0
     dt: float = 0.1
     horizon: float = 1.0
-    alpha: float | None = None
     ode_step: float | None = None
+    alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("lam", "dt", "horizon", "alpha", "ode_step"):
+        for name in ("lam", "dt", "horizon", "ode_step"):
             value = getattr(self, name)
             if value is not None and not isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -75,17 +75,12 @@ class StrobConfig:
         if self.horizon < 0.0:
             raise ValidationError(f"horizon must be nonnegative, got {self.horizon}")
         try:
-            implied = self.lam**2 * self.dt
+            alpha = self.lam**2 * self.dt
         except OverflowError:  # lam**2 beyond the float range
-            implied = float("inf")
-        if not isfinite(implied):
+            alpha = float("inf")
+        if not isfinite(alpha):
             raise ValidationError(f"lam^2 dt overflows for lam={self.lam}, dt={self.dt}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", implied)
-        elif abs(self.alpha - implied) > 1e-12 * (1.0 + abs(self.alpha)):
-            raise ValidationError(
-                f"alpha {self.alpha} is inconsistent with lam^2 dt = {implied}"
-            )
+        object.__setattr__(self, "alpha", alpha)
         if self.ode_step is None:
             target = min(self.dt / 10.0, 1e-2)
             steps = self.dt / target
@@ -136,8 +131,8 @@ def _check_cap(steps: float) -> None:
         raise CapacityError(f"run needs {steps:.6g} steps, above the cap {STEP_CAP_DEFAULT}")
 
 
-def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1):
-    """Times and rows of x0 advanced over n intervals, one advance call per interval.
+def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1, first: int = 0):
+    """Times and rows of x0 advanced over n intervals, numbered from first, one advance call each.
 
     A ThermostrobeError or an ArithmeticError (numpy's FloatingPointError
     under np.errstate, a Python float overflow) raised while advancing gets
@@ -146,18 +141,27 @@ def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1):
     """
     _check_cap(n * substeps)
     rows = [x0]
-    for k in range(n):
+    for k in range(first, first + n):
         try:
             rows.append(advance(rows[-1]))
         except (ThermostrobeError, ArithmeticError) as err:
             raise _at_step(err, k, interval)
-    return np.arange(n + 1) * interval, np.array(rows)
+    return np.arange(first, first + n + 1) * interval, np.array(rows)
 
 
 def _at_step(err: Exception, k: int, interval: float) -> Exception:
     """err with the protocol step k and its start time put before its message."""
     err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err}",)
     return err
+
+
+def _check_start(family: AnsatzFamily, E0: np.ndarray, cfg: StrobConfig) -> None:
+    """A zero-step run checks E0 as its step 0 would (longer runs check it in that step)."""
+    if cfg.n_steps() == 0:
+        try:
+            family.state_of(E0)
+        except (ThermostrobeError, ArithmeticError) as err:
+            raise _at_step(err, 0, cfg.dt)
 
 
 def _affine_walk(family: _LinearAnsatz, x0: np.ndarray, n: int, interval: float, segments,
@@ -168,59 +172,42 @@ def _affine_walk(family: _LinearAnsatz, x0: np.ndarray, n: int, interval: float,
     check points S @ y, which must be feasible, and ends at R @ y.  With complex
     pairings, the imaginary parts of pairings @ y at every segment start must stay
     within IMAG_TOL, as in extract_params.  Chunks of at most CHECK_BATCH points are
-    advanced, then checked, their points in one feasible_block call.  The first
-    failure raises with its protocol step, as checking each step in turn would: an
-    infeasible point, an imaginary part, or an ArithmeticError of the recursion.
+    advanced, then checked at once, their points in one feasible_block call.  A chunk
+    that fails, in its check or in its recursion, is walked again by _walk from the row
+    of its first step, each segment checked before it advances, so the first failure
+    raises with its protocol step; if that walk passes, the chunk's own error raises.
     """
+    def check(starts: list, points: list) -> None:
+        family.feasible_block(np.concatenate(points))
+        if pairings is not None:
+            _real_parts(np.array(starts) @ pairings.T)
+
+    def advance(y: np.ndarray) -> np.ndarray:
+        for R, S in segments():
+            check([y], [S @ y])
+            y = R @ y
+        return y
+
     rows = np.empty((n + 1, len(x0)))
     rows[0] = y = x0
-    chunk, size = [], 0  # (step, start, check points) of the segments advanced, not yet checked
-
-    def first_failure(part):
-        """(step, error) of the first failure among the segments part, checked at once."""
-        failure, end = None, len(part)
-        try:
-            family.feasible_block(np.concatenate([points for _, _, points in part]))
-        except DomainError as err:
-            end = int(np.searchsorted(np.cumsum([len(points) for _, _, points in part]), err.row, "right"))
-            failure = part[end][0], err
-        if pairings is not None and end:  # only an earlier step's imaginary part comes first
-            try:
-                _real_parts(np.array([start for _, start, _ in part[:end]]) @ pairings.T)
-            except ValidationError as err:
-                failure = part[err.row][0], err
-        return failure
-
-    def check(failure=None):
-        """Check the chunk: its first failure raises, or else failure, a later one."""
-        try:
-            failure = (chunk and first_failure(chunk)) or failure
-        except ArithmeticError:  # a point near the float range: check segment by segment
-            for segment in chunk:
-                try:
-                    found = first_failure([segment])
-                except ArithmeticError as err:
-                    found = segment[0], err
-                if found:
-                    failure = found
-                    break
-        chunk.clear()
-        if failure:
-            raise _at_step(failure[1], failure[0], interval)
-
-    for k in range(n):
-        for R, S in segments():
-            if size + len(S) > CHECK_BATCH:
-                check()
-                size = 0
-            try:
-                chunk.append((k, y, S @ y))
+    starts, points = [], []  # segment starts and check points of the chunk, not yet checked
+    first = size = 0  # the chunk's first step and its number of points
+    try:
+        for k in range(n):
+            for R, S in segments():
+                if size + len(S) > CHECK_BATCH:
+                    check(starts, points)
+                    first, size, starts, points = k, 0, [], []
+                starts.append(y)
+                points.append(S @ y)
                 y = R @ y
-            except ArithmeticError as err:
-                check((k, err))
-            size += len(S)
-        rows[k + 1] = y
-    check()
+                size += len(S)
+            rows[k + 1] = y
+        if points:
+            check(starts, points)
+    except (ThermostrobeError, ArithmeticError):
+        _walk(rows[first], k + 1 - first, interval, advance, first=first)
+        raise
     return rows
 
 
@@ -235,6 +222,7 @@ def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
     """
     n = cfg.n_steps()
     E0 = _as_params(E0, family.size)
+    _check_start(family, E0, cfg)
     images = Propagator.build(gen, cfg.lam * cfg.dt).adjoint(family.relevant.stack)
     limit = ContinuumLimit(gen, family, cfg, images)
     M = family.size
@@ -518,10 +506,10 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
         traj.params[0] = E0
         if not with_temps:
             traj.temps = None
-    elif limit._linear:
-        traj = _rk4_walk(limit, E0, order)
     else:
-        traj = integrate(lambda E: limit.velocity(E, order), E0, cfg)
+        _check_start(family, E0, cfg)
+        traj = _rk4_walk(limit, E0, order) if limit._linear else \
+            integrate(lambda E: limit.velocity(E, order), E0, cfg)
     traj.meta = {"protocol": f"ode{order}", **traj.meta}
     return traj
 

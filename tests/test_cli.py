@@ -321,6 +321,14 @@ def test_strob_fd_step_is_an_unknown_key(tmp_path, capsys):
     assert "config error: unknown keys in strob: fd_step" in capsys.readouterr().err
 
 
+def test_strob_alpha_is_an_unknown_key(tmp_path, capsys):
+    # alpha is always lambda^2 dt, so a scenario cannot set it
+    sc = variant(QUBIT_BASE, strob={"dt": 0.1, "horizon": 0.5, "alpha": 0.01})
+    path = scenario_file(tmp_path, sc)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: unknown keys in strob: alpha" in capsys.readouterr().err
+
+
 def test_non_dividing_ode_step_is_config_error(tmp_path, capsys):
     sc = variant(QUBIT_BASE, strob={"dt": 0.1, "horizon": 0.5, "ode_step": 0.07})
     path = scenario_file(tmp_path, sc)
@@ -470,6 +478,25 @@ def test_boundary_initial_energy_is_domain_error(tmp_path, capsys):
     assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "error:" in err and "feasible-domain boundary" in err
+
+
+@pytest.mark.parametrize("protocol", ["discrete", "ode1", "ode2"])
+@pytest.mark.parametrize("scenario", [
+    variant(QUBIT_BASE, ansatz={"kind": "pinching"}, initial={"E": [5.0]}),
+    variant(FACTORIZED_BASE, initial={"E": [5.0, 0.0, 0.0]}),
+    variant(QUBIT_BASE, ansatz={"kind": "selective", "eigenvalue": 1.0}, initial={"E": [-3.0]}),
+    variant(QUBIT_BASE, initial={"E": [5.0]}),
+], ids=["pinching", "factorized", "selective", "gibbs"])
+def test_zero_step_run_refuses_an_infeasible_start_as_one_step_does(tmp_path, capsys, scenario,
+                                                                     protocol):
+    errors = []
+    for horizon in (0.0, 0.1):
+        sc = variant(scenario, protocols=[protocol], strob={"dt": 0.1, "horizon": horizon})
+        path = scenario_file(tmp_path, sc, f"h{horizon}.yaml")
+        assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from thermostrobe import (
     PinchingAnsatz,
     Propagator,
     StrobConfig,
+    ThermostrobeError,
     ValidationError,
     apply_heisenberg,
     extract_params,
@@ -353,6 +354,74 @@ def test_affine_walk_reports_arithmetic_errors_and_imaginary_parts_with_their_st
                      np.array([[0.0, 0.5]]) + 1j * np.array([[IMAG_TOL / 20.0, 0.0]]))
     with pytest.raises(ValidationError, match=r"^protocol step 3 \(t = 0.3\): "):
         _affine_walk(fam, np.array([1.0, 1.0]), 6, 0.1, lambda: ((double, points),), pairings)
+
+
+def reference_walk(fam, x0, n, interval, segments, pairings):
+    """Rows of the affine recursion, every segment checked before it advances, or the
+    (class, text) of its first failure."""
+    rows = [x0]
+    for k in range(n):
+        y = rows[-1]
+        try:
+            for R, S in segments():
+                fam.feasible_block(S @ y)
+                if pairings is not None:
+                    z = pairings @ y
+                    bad = np.flatnonzero(np.abs(z.imag) > IMAG_TOL)
+                    if bad.size:
+                        raise ValidationError(
+                            f"extracted parameter {bad[0]} has imaginary part {z.imag[bad[0]]:.3e}")
+                y = R @ y
+        except (ThermostrobeError, ArithmeticError) as err:
+            return type(err), f"protocol step {k} (t = {k * interval:.9g}): {err}"
+        rows.append(y)
+    return np.array(rows)
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 80), st.floats(0.5, 2.0)), min_size=1, max_size=3),
+       st.integers(1, 30), st.data())
+def test_affine_walk_matches_a_walk_that_checks_every_segment(layout, n, data):
+    # x = (E, c, 1): E grows by its segment's factor, c counts the segments advanced.
+    # A check point reads c, so the one drawn to fail does so first at segment c_bad;
+    # the imaginary part of the pairings crosses IMAG_TOL first at the start of segment
+    # c_imag; a factor drawn large makes E overflow.  Each is drawn inside the run or
+    # past its end.
+    fam = PinchingAnsatz(np.diag([1.0, 0.0]))
+    total = n * len(layout)
+    c_bad = data.draw(st.none() | st.integers(0, 2 * total), label="c_bad")
+    c_imag = data.draw(st.none() | st.integers(0, 2 * total), label="c_imag")
+    large = data.draw(st.none() | st.tuples(st.integers(0, len(layout) - 1), st.floats(1e3, 1e300)),
+                      label="large factor")
+    blocks = []
+    for j, (count, growth) in enumerate(layout):
+        if large is not None and large[0] == j:
+            growth = large[1]
+        R = np.array([[growth, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        S = np.zeros((count, 1, 3))
+        S[:, 0, 2] = data.draw(st.lists(st.floats(0.05, 0.95), min_size=count, max_size=count))
+        if c_bad is not None and c_bad % len(layout) == j:
+            slope = 0.5 / (c_bad + 1)  # the population 1 + (c - c_bad + 1/2) slope
+            S[data.draw(st.integers(0, count - 1)), 0, 1:] = slope, 1.0 - (c_bad - 0.5) * slope
+        blocks.append((R, S))
+    pairings = None
+    if c_imag is not None or data.draw(st.booleans()):
+        pairings = np.array([[0.0, 0.0, 0.5 + 0.0j], [0.0, 0.0, 0.0j]])
+        if c_imag is not None:
+            slope = IMAG_TOL / (c_imag + 1)  # the imaginary part IMAG_TOL + (c - c_imag + 1/2) slope
+            pairings[1, 1:] += 1j * np.array([slope, IMAG_TOL - (c_imag - 0.5) * slope])
+    x0 = np.array([1.0, 0.0, 1.0])
+    with np.errstate(over="raise"):
+        ref = reference_walk(fam, x0, n, 0.1, lambda: blocks, pairings)
+        try:
+            got = _affine_walk(fam, x0, n, 0.1, lambda: blocks, pairings)
+        except (ThermostrobeError, ArithmeticError) as err:
+            got = type(err), str(err)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert not isinstance(got, tuple), got
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_checks_come_in_bounded_batches(monkeypatch):

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # null reads as absent for these keys and sections; elsewhere it is a config error
 NULL_AS_ABSENT = {
-    "strob.alpha", "strob.ode_step", "model.shifts", "model.observable", "model.jumps",
+    "strob.ode_step", "model.shifts", "model.observable", "model.jumps",
     "ansatz.observable", "initial.E", "initial.beta_probe", "initial.rho",
     "fit.target_E", "fit.tail_of", "scenario.output", "scenario.checks", "scenario.compare",
     "scenario.fit",

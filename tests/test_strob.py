@@ -70,16 +70,6 @@ def test_config_alpha_defaults_to_lam_squared_dt():
     assert cfg.alpha == pytest.approx(0.4, abs=1e-15)
 
 
-def test_config_accepts_consistent_alpha():
-    cfg = StrobConfig(lam=1.0, dt=0.1, horizon=1.0, alpha=0.1)
-    assert cfg.alpha == 0.1
-
-
-def test_config_rejects_inconsistent_alpha():
-    with pytest.raises(ValidationError, match="alpha"):
-        StrobConfig(lam=1.0, dt=0.1, horizon=1.0, alpha=0.2)
-
-
 def test_config_ode_step_default_divides_dt():
     assert StrobConfig(dt=0.1, horizon=1.0).ode_step == pytest.approx(0.01, abs=1e-15)
     assert StrobConfig(dt=0.035, horizon=0.07).ode_step == pytest.approx(0.0035, abs=1e-15)

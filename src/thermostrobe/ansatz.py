@@ -517,24 +517,22 @@ class GibbsAnsatz(AnsatzFamily):
     def canonical(cls, hamiltonian, **kwargs) -> "GibbsAnsatz":
         return cls((hamiltonian,), **kwargs)
 
-    def beta_of(self, E, beta_init=None) -> np.ndarray:
-        return self._fit(fit_beta, E, beta_init)
-
     def point_of(self, E, beta_init=None) -> _GibbsPoint:
-        """The Gibbs point at the fitted exponents, as the fit left it."""
-        return self._fit(_fit_point, E, beta_init)[0]
-
-    def _fit(self, solve, E, beta_init):
+        """The Gibbs point at the fitted exponents, as the fit left it; beta_of, state_of and
+        derivative_of read it."""
         try:
-            return solve(self.relevant, E, beta_init, self.fit_tol, self.fit_max_iter)
+            return _fit_point(self.relevant, E, beta_init, self.fit_tol, self.fit_max_iter)[0]
         except FitError as err:
             raise DomainError(f"parameters appear infeasible for the Gibbs family: {err}") from err
 
+    def beta_of(self, E, beta_init=None) -> np.ndarray:
+        return self.point_of(E, beta_init).beta
+
     def state_of(self, E) -> np.ndarray:
-        return gibbs_state(self.relevant, self.beta_of(E))
+        return self.point_of(E).state()
 
     def derivative_of(self, E) -> np.ndarray:
-        return self.derivative_from_beta(self.beta_of(E))
+        return self.point_of(E).derivative()
 
     def derivative_from_beta(self, beta) -> np.ndarray:
         """Parameter derivatives via the chain rule through the fitted exponents."""

@@ -58,7 +58,8 @@ from .strob import (
     ContinuumLimit,
     StrobConfig,
     Trajectory,
-    _second_order,
+    _as_step,
+    _velocity,
     invariant_subspace_matrix,
     run_discrete,
     run_ode,
@@ -409,7 +410,7 @@ def run_protocol(proto: str, model: ModelBundle, family: AnsatzFamily, cfg: Stro
     if proto in ("ode1", "ode2"):
         return run_ode(model.generator, family, E0, cfg, order=int(proto[-1]), with_temps=emit_beta)
     if proto == "ode-temperature":
-        beta0 = beta_probe if beta_probe is not None else float(family.beta_of(E0)[0])
+        beta0 = beta_probe if beta_probe is not None else float(_as_step(0, cfg.dt, family.beta_of, E0)[0])
         return run_ode_temperature(model.generator, family, beta0, cfg)
     times = np.arange(cfg.n_steps() + 1) * cfg.dt  # closed-form
     params = qubit_E_closed_form(times, float(E0[0]), model.qubit).reshape(-1, 1)
@@ -628,7 +629,7 @@ def cmd_analyze_invariance(scenario: dict, out_dir: str) -> int:
             predicted = result.matrix[1:, 0] + result.matrix[1:, 1:] @ E0
             diagnostics["closure_velocity_deviation"] = float(np.max(np.abs(predicted - a)))
             diagnostics["rhs_drop_ode1_vs_ode2"] = float(np.max(np.abs(
-                _second_order(cfg, a, b, W) - cfg.lam * a)))
+                _velocity(cfg, 2, a, b, W) - _velocity(cfg, 1, a, b, W))))
     report["diagnostics"] = diagnostics
     _dump_json(os.path.join(out_dir, f"{name}_invariance.json"), report)
     return 0

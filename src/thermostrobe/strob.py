@@ -62,6 +62,7 @@ class StrobConfig:
     horizon: float = 1.0
     ode_step: float | None = None
     alpha: float = field(init=False)
+    substeps: int = field(init=False)  # RK4 steps per dt interval
 
     def __post_init__(self) -> None:
         for name in ("lam", "dt", "horizon", "ode_step"):
@@ -97,6 +98,7 @@ class StrobConfig:
                 raise CapacityError(f"ode_step {self.ode_step} needs {steps} steps per dt={self.dt}")
             if not _whole(steps):
                 raise ValidationError(f"ode_step {self.ode_step} does not divide dt={self.dt}")
+        object.__setattr__(self, "substeps", round(self.dt / self.ode_step))
 
     def n_steps(self) -> int:
         steps = self.horizon / self.dt
@@ -132,36 +134,27 @@ def _check_cap(steps: float) -> None:
 
 
 def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1, first: int = 0):
-    """Times and rows of x0 advanced over n intervals, numbered from first, one advance call each.
-
-    A ThermostrobeError or an ArithmeticError (numpy's FloatingPointError
-    under np.errstate, a Python float overflow) raised while advancing gets
-    the interval number and its start time; a run of more than
-    STEP_CAP_DEFAULT steps in all is refused.
+    """Times and rows of x0 advanced over n intervals, numbered from first, one advance
+    call each, run as its protocol step (_as_step); a run of more than STEP_CAP_DEFAULT
+    steps in all is refused.
     """
     _check_cap(n * substeps)
     rows = [x0]
     for k in range(first, first + n):
-        try:
-            rows.append(advance(rows[-1]))
-        except (ThermostrobeError, ArithmeticError) as err:
-            raise _at_step(err, k, interval)
+        rows.append(_as_step(k, interval, advance, rows[-1]))
     return np.arange(first, first + n + 1) * interval, np.array(rows)
 
 
-def _at_step(err: Exception, k: int, interval: float) -> Exception:
-    """err with the protocol step k and its start time put before its message."""
-    err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err}",)
-    return err
-
-
-def _check_start(family: AnsatzFamily, E0: np.ndarray, cfg: StrobConfig) -> None:
-    """A zero-step run checks E0 as its step 0 would (longer runs check it in that step)."""
-    if cfg.n_steps() == 0:
-        try:
-            family.state_of(E0)
-        except (ThermostrobeError, ArithmeticError) as err:
-            raise _at_step(err, 0, cfg.dt)
+def _as_step(k: int, interval: float, fn, *args):
+    """fn(*args) run as protocol step k: a ThermostrobeError or an ArithmeticError
+    (numpy's FloatingPointError under np.errstate, a Python float overflow) it raises
+    gets the step and its start time put before its message.  Every start check (the
+    Gibbs fit of E0, a zero-step run's check of E0) runs as step 0, as a walk's would."""
+    try:
+        return fn(*args)
+    except (ThermostrobeError, ArithmeticError) as err:
+        err.args = (f"protocol step {k} (t = {k * interval:.9g}): {err}",)
+        raise
 
 
 def _affine_walk(family: _LinearAnsatz, x0: np.ndarray, n: int, interval: float, segments,
@@ -217,12 +210,13 @@ def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
     a round maps E_k to E_{k+1,m} = Tr(Phi*(P_m) rho(E_k)), Phi = exp(lam dt L).
 
     The images Phi*(P_m) are built once and read as ContinuumLimit reads [A; B]:
-    from the point fitted to E_k (Gibbs), from state_of(E_k) (selective), or as the
-    affine recursion of a linear family, whose round k checks E_k (_affine_walk).
+    a linear family runs the affine recursion of its table, whose round k checks E_k
+    (_affine_walk), and every other family one ContinuumLimit.read per round.
     """
     n = cfg.n_steps()
     E0 = _as_params(E0, family.size)
-    _check_start(family, E0, cfg)
+    if n == 0:
+        _as_step(0, cfg.dt, family.state_of, E0)
     images = Propagator.build(gen, cfg.lam * cfg.dt).adjoint(family.relevant.stack)
     limit = ContinuumLimit(gen, family, cfg, images)
     M = family.size
@@ -232,11 +226,8 @@ def run_discrete(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig,
         own_row = np.eye(M + 1)[None, :M]  # round k checks E_k itself
         rows = _affine_walk(family, np.append(E0, 1.0), n, cfg.dt, lambda: ((step, own_row),), columns)
         times, params = np.arange(n + 1) * cfg.dt, rows[:, :M]
-    elif limit._gibbs:
-        times, params = _walk(E0, n, cfg.dt, lambda E: limit._point(E).means[M:])
     else:
-        times, params = _walk(E0, n, cfg.dt, lambda E: _real_parts(
-            np.einsum("mab,ab->m", images.conj(), family.state_of(E))))
+        times, params = _walk(E0, n, cfg.dt, lambda E: limit.read(E)[0])
     temps = _temps_for(limit, params) if with_temps else None
     return Trajectory(times, params, temps, meta={"protocol": "discrete", "dt": cfg.dt, "lam": cfg.lam})
 
@@ -257,8 +248,9 @@ def _temps_for(limit: ContinuumLimit, params: np.ndarray) -> np.ndarray | None:
 class ContinuumLimit:
     """The continuum limit of the measure-evolve protocol for one generator,
     family and config: the moments (<A>, <B>, W) at a point and the parameter
-    velocity lam <A> + (alpha/2)(<B> - W <A>) built from them.  Given another
-    image stack (run_discrete's Phi*(P)), the same evaluators read that.
+    velocity lam <A> + (alpha/2)(<B> - W <A>) built from them, all through read,
+    which branches on the family kind once.  Given another image stack
+    (run_discrete's Phi*(P)), read reads that.
 
     <A_m> and <B_m> are the expectations of the Heisenberg images
     A_m = L*(P_m) and B_m = L*(A_m), built once, and W_mj = d<A_m>/dE_j is
@@ -320,30 +312,29 @@ class ContinuumLimit:
         self.fitted.append(point.beta)
         return point.attach(self._point_stack)
 
-    def moments(self, E, gradient: bool = True):
-        """(<A>, <B>, W) at parameters E; W is None without gradient."""
+    def read(self, E, gradient: bool = False):
+        """(Tr(X_k rho(E)) for every image X_k, W_mj = d Tr(X_m rho(E)) / dE_j for the first
+        M or None): from the Gibbs point fitted to E (W = G J^-1, G from J's contraction),
+        the linear table once E is checked, or the selective state_of and derivative_of."""
         E = _as_params(E, self.family.size)
         M = self.family.size
         if self._gibbs:
             point = self._point(E)
-            a, b, G = self.gibbs_moments(point, gradient)
-            return a, b, G @ point.response_inverse() if gradient else None
+            W = point.slopes(2 * M)[M:] @ point.response_inverse() if gradient else None
+            return point.means[M:], W
         if self._linear:
             self.family.feasible_block(E)
             offset, slope = self._table
-            ab = offset + slope @ E
-            return ab[:M], ab[M:], slope[:M] if gradient else None
-        ab = np.einsum("mab,ab->m", self._images.conj(), self.family.state_of(E)).real
+            return offset + slope @ E, slope[:M] if gradient else None
+        x = _real_parts(np.einsum("mab,ab->m", self._images.conj(), self.family.state_of(E)))
         W = np.einsum("mab,jab->mj", self._images[:M].conj(),
                       self.family.derivative_of(E)).real if gradient else None
-        return ab[:M], ab[M:], W
+        return x, W
 
-    def gibbs_moments(self, point: _GibbsPoint, gradient: bool = True):
-        """(<A>, <B>, G) read from a gibbs_point, G_mn = d<A_m>/dbeta_n; G is None
-        without gradient.  G comes from the same contraction as J."""
-        M = self.family.size
-        a, b = point.means[M:2 * M], point.means[2 * M:]
-        return a, b, point.slopes(2 * M)[M:] if gradient else None
+    def moments(self, E, gradient: bool = True):
+        """(<A>, <B>, W) at parameters E, read from [A; B]; W is None without gradient."""
+        x, W = self.read(E, gradient)
+        return (*np.split(x, 2), W)
 
     def fd_gradient(self, E) -> np.ndarray:
         """Central differences of <A> with step FD_STEP, a check on the analytic W of
@@ -353,8 +344,7 @@ class ContinuumLimit:
         M = self.family.size
         if self._gibbs:
             point = self._point(E)
-            G = _central_difference(
-                lambda beta: self.gibbs_moments(self.gibbs_point(beta), False)[0], point.beta)
+            G = _central_difference(lambda beta: self.gibbs_point(beta).means[M:2 * M], point.beta)
             return G @ point.response_inverse()
         if self._linear:
             self.family.feasible_block(E)
@@ -364,15 +354,16 @@ class ContinuumLimit:
 
     def velocity(self, E, order: int) -> np.ndarray:
         """dE/dt at E: lam <A> for order 1, with the finite-reset correction for order 2."""
-        a, b, W = self.moments(E, gradient=order == 2)
-        return self.cfg.lam * a if order == 1 else _second_order(self.cfg, a, b, W)
+        return _velocity(self.cfg, order, *self.moments(E, gradient=order == 2))
 
     def beta_velocity(self, point: _GibbsPoint, order: int) -> np.ndarray:
-        """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1."""
-        a, b, G = self.gibbs_moments(point, order == 2)
+        """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1
+        (G is contracted first, so J is read from the same contraction)."""
+        M = self.family.size
+        G = point.slopes(2 * M)[M:] if order == 2 else None
         J_inv = point.response_inverse()
-        dE = self.cfg.lam * a if order == 1 else _second_order(self.cfg, a, b, G @ J_inv)
-        return J_inv @ dE
+        W = G @ J_inv if order == 2 else None
+        return J_inv @ _velocity(self.cfg, order, point.means[M:2 * M], point.means[2 * M:], W)
 
 
 def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -380,9 +371,9 @@ def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return np.array([(f(x + bump) - f(x - bump)) / (2.0 * h) for bump in h * np.eye(len(x))]).T
 
 
-def _second_order(cfg: StrobConfig, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Parameter velocity with the finite-reset correction, lam <A> + (alpha/2)(<B> - W <A>)."""
-    return cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a)
+def _velocity(cfg: StrobConfig, order: int, a: np.ndarray, b: np.ndarray, W) -> np.ndarray:
+    """lam <A>, with the finite-reset correction (alpha/2)(<B> - W <A>) for order 2."""
+    return cfg.lam * a if order == 1 else cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a)
 
 
 def _require_canonical(family: AnsatzFamily, what: str) -> None:
@@ -421,16 +412,10 @@ def rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_grid(cfg: StrobConfig) -> tuple[int, float]:
-    """RK4 steps per dt interval and their step h = dt / steps (ode_step divides dt)."""
-    n_sub = max(1, round(cfg.dt / cfg.ode_step))
-    return n_sub, cfg.dt / n_sub
-
-
 def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
     """Classic fourth-order Runge-Kutta over cfg.horizon, sampled on the dt
     grid with dt / ode_step steps per interval; rhs maps an array to an array."""
-    n_sub, h = _rk4_grid(cfg)
+    n_sub, h = cfg.substeps, cfg.dt / cfg.substeps
 
     def advance(x: np.ndarray) -> np.ndarray:
         for _ in range(n_sub):
@@ -447,30 +432,30 @@ def _rk4_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
 
     A step from x evaluates the velocity at the stage points P_k x, with P1 = I,
     P2 = I + (h/2) aug, P3 = I + (h/2) aug P2, P4 = I + h aug P3, and lands on R x,
-    R = I + (h/6) aug (P1 + 2 P2 + 2 P3 + P4).  An interval is _affine_walk segments
-    of at most CHECK_BATCH / 4 steps: one of s steps from y has the stage points
-    P_k R^j y (j < s), whose first infeasible one raises state_of's DomainError,
-    and ends at R^s y.
+    R = I + (h/6) aug (P1 + 2 P2 + 2 P3 + P4): rk4_step on the identity gives R, its RHS
+    recording each stage map P_k.  An interval is _affine_walk segments of at most
+    CHECK_BATCH / 4 steps: one of s steps from y has the stage points P_k R^j y (j < s),
+    whose first infeasible one raises state_of's DomainError, and ends at R^s y.
     """
     cfg = limit.cfg
-    n, (n_sub, h) = cfg.n_steps(), _rk4_grid(cfg)
+    n, n_sub, h = cfg.n_steps(), cfg.substeps, cfg.dt / cfg.substeps
     _check_cap(n * n_sub)
     M = len(E0)
-    offset, slope = limit._table
-    columns = np.column_stack([slope, offset])  # moments (<A>, <B>) of x = (E, 1)
-    a, b = columns[:M], columns[M:]
-    aug = np.zeros((M + 1, M + 1))
-    aug[:M] = cfg.lam * a if order == 1 else _second_order(cfg, a, b, slope[:M])
+    a, b = np.split(limit._columns.real, 2)  # moments (<A>, <B>) of x = (E, 1)
+    aug = np.vstack([_velocity(cfg, order, a, b, a[:, :M]), np.zeros(M + 1)])
+    maps = []  # the stage maps P_1..P_4, as rk4_step evaluates the velocity at them
+
+    def stage(X: np.ndarray) -> np.ndarray:
+        maps.append(X)
+        return aug @ X
+
     eye = np.eye(M + 1)
-    P2 = eye + (0.5 * h) * aug
-    P3 = eye + (0.5 * h) * aug @ P2
-    P4 = eye + h * aug @ P3
-    step = eye + (h / 6.0) * aug @ (eye + 2.0 * P2 + 2.0 * P3 + P4)
+    step = rk4_step(stage, eye, h)
     batch = min(n_sub, CHECK_BATCH // 4)
     powers = [eye]
     for _ in range(batch):
         powers.append(step @ powers[-1])
-    stages = np.array([P @ Rs for Rs in powers[:batch] for P in (eye, P2, P3, P4)])[:, :M]
+    stages = np.array([P @ Rs for Rs in powers[:batch] for P in maps])[:, :M]
 
     def segments():
         for start in range(0, n_sub, batch):
@@ -494,20 +479,21 @@ def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, orde
             with_temps: bool = False) -> Trajectory:
     """Integrate the continuum-limit parameter velocity, sampled on the dt grid.
 
-    A Gibbs family is integrated in beta from the one fit of E0 (the first
-    row stays E0, the others are E(beta)); a linear family by the exact RK4
-    maps of its affine velocity (_rk4_walk); other families in E."""
+    A Gibbs family is integrated in beta from the one fit of E0, run as protocol
+    step 0 (the first row stays E0, the others are E(beta)); a linear family by the
+    exact RK4 maps of its affine velocity (_rk4_walk); other families in E."""
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
     limit = ContinuumLimit(gen, family, cfg)
     E0 = _as_params(E0, family.size)
     if limit._gibbs:
-        traj = _gibbs_walk(limit, limit._point(E0).beta, order)
+        traj = _gibbs_walk(limit, _as_step(0, cfg.dt, limit._point, E0).beta, order)
         traj.params[0] = E0
         if not with_temps:
             traj.temps = None
     else:
-        _check_start(family, E0, cfg)
+        if cfg.n_steps() == 0:
+            _as_step(0, cfg.dt, family.state_of, E0)
         traj = _rk4_walk(limit, E0, order) if limit._linear else \
             integrate(lambda E: limit.velocity(E, order), E0, cfg)
     traj.meta = {"protocol": f"ode{order}", **traj.meta}

@@ -480,13 +480,20 @@ def test_boundary_initial_energy_is_domain_error(tmp_path, capsys):
     assert "error:" in err and "feasible-domain boundary" in err
 
 
-@pytest.mark.parametrize("protocol", ["discrete", "ode1", "ode2"])
-@pytest.mark.parametrize("scenario", [
-    variant(QUBIT_BASE, ansatz={"kind": "pinching"}, initial={"E": [5.0]}),
-    variant(FACTORIZED_BASE, initial={"E": [5.0, 0.0, 0.0]}),
-    variant(QUBIT_BASE, ansatz={"kind": "selective", "eigenvalue": 1.0}, initial={"E": [-3.0]}),
-    variant(QUBIT_BASE, initial={"E": [5.0]}),
-], ids=["pinching", "factorized", "selective", "gibbs"])
+ZERO_STEP_STARTS = {
+    "pinching": variant(QUBIT_BASE, ansatz={"kind": "pinching"}, initial={"E": [5.0]}),
+    "factorized": variant(FACTORIZED_BASE, initial={"E": [5.0, 0.0, 0.0]}),
+    "selective": variant(QUBIT_BASE, ansatz={"kind": "selective", "eigenvalue": 1.0},
+                         initial={"E": [-3.0]}),
+    "gibbs": variant(QUBIT_BASE, initial={"E": [5.0]}),
+}
+ZERO_STEP_CASES = [(family, protocol) for family in ZERO_STEP_STARTS
+                   for protocol in ("discrete", "ode1", "ode2")] + [("gibbs", "ode-temperature")]
+
+
+@pytest.mark.parametrize("scenario, protocol",
+                         [(ZERO_STEP_STARTS[family], protocol) for family, protocol in ZERO_STEP_CASES],
+                         ids=[f"{family}-{protocol}" for family, protocol in ZERO_STEP_CASES])
 def test_zero_step_run_refuses_an_infeasible_start_as_one_step_does(tmp_path, capsys, scenario,
                                                                      protocol):
     errors = []
@@ -496,7 +503,7 @@ def test_zero_step_run_refuses_an_infeasible_start_as_one_step_does(tmp_path, ca
         assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 3
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith("error: ")
+    assert errors[0].startswith("error: protocol step 0 (t = 0): ")
 
 
 # ---------------------------------------------------------------------------

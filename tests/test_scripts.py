@@ -3,7 +3,8 @@
 Each script module is loaded without calling its main(), so a removed or
 renamed name fails here at almost no cost instead of only when the script
 is run.  The README's python blocks are executed, and its scenario-format
-block is run through the CLI.
+block is run through the CLI.  The outputs of scripts/reference_outputs.py
+are held to the hashes in tests/golden/reference_outputs.sha256.
 """
 
 import importlib.util
@@ -28,12 +29,23 @@ def test_scripts_exist():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_script_imports(path):
+def load_script(path):
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    assert callable(load_script(path).main)
+
+
+def test_reference_outputs_keep_their_pinned_hashes(tmp_path, capsys):
+    # the 21 reference outputs, the golden summary among them, byte for byte
+    load_script(REPO / "scripts" / "reference_outputs.py").main([str(tmp_path)])
+    pinned = (REPO / "tests" / "golden" / "reference_outputs.sha256").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == pinned
 
 
 def test_readme_python_examples_run(capsys):

@@ -43,7 +43,6 @@ from thermostrobe import (
     run_ode_temperature,
 )
 from thermostrobe.cli import _scenario_context, estimate_tau, load_scenario
-from thermostrobe.strob import _rk4_grid
 from tutil import random_generator
 
 REPO = Path(__file__).resolve().parents[1]
@@ -152,7 +151,7 @@ def test_config_grid_mismatch_is_measured_in_steps():
         StrobConfig(dt=1e-10, horizon=1e-10, ode_step=1.5e-10)
     cfg = StrobConfig(dt=1e-10, horizon=3e-10, ode_step=1e-11)
     assert cfg.n_steps() == 3
-    assert _rk4_grid(cfg) == (10, pytest.approx(1e-11, rel=1e-15))
+    assert cfg.substeps == 10 and cfg.dt / cfg.substeps == pytest.approx(1e-11, rel=1e-15)
     assert StrobConfig(dt=1e4, horizon=3e6).n_steps() == 300
 
 

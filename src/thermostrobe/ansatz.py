@@ -593,14 +593,21 @@ class _BlockCoords:
 
 
 def _block_psd_check(S: np.ndarray, what: str) -> None:
-    """DomainError when S, or a matrix of a stack S (n, d, d), has an eigenvalue below
-    PSD_FLOOR * scale_of; one batched eigvalsh for a stack, and the error reports the
-    first such matrix."""
-    wmin = np.linalg.eigvalsh(hermitize(S))[..., 0]
-    bad = np.flatnonzero(wmin < PSD_FLOOR * (1.0 + np.abs(S).max(axis=(-2, -1))))
-    if bad.size:
-        raise DomainError(f"{what} lies outside the feasible domain: "
-                          f"eigenvalue {wmin.flat[bad[0]]:.3e} < 0")
+    """DomainError when S, or a matrix of a stack S (n, d, d), has a non-finite entry or an
+    eigenvalue below PSD_FLOOR * scale_of; the error reports the first such matrix.  Only the
+    matrices whose Gershgorin bound min_i (H_ii - sum_{j != i} |H_ij|) on the spectrum of
+    H = hermitize(S) is below that floor go to eigvalsh, batched, solving each one alone."""
+    S = require_finite(S, what, DomainError).reshape(-1, *S.shape[-2:])
+    H, floor = hermitize(S), PSD_FLOOR * (1.0 + np.abs(S).max(axis=(-2, -1)))
+    A = np.abs(H)
+    radius = A.sum(axis=-1) - np.diagonal(A, axis1=-2, axis2=-1)
+    unsure = np.flatnonzero((np.diagonal(H, axis1=-2, axis2=-1).real - radius).min(axis=-1) < floor)
+    if unsure.size:
+        wmin = np.linalg.eigvalsh(H[unsure])[:, 0]
+        bad = np.flatnonzero(wmin < floor[unsure])
+        if bad.size:
+            raise DomainError(f"{what} lies outside the feasible domain: "
+                              f"eigenvalue {wmin[bad[0]]:.3e} < 0")
 
 
 class _LinearAnsatz(AnsatzFamily):
@@ -617,10 +624,11 @@ class _LinearAnsatz(AnsatzFamily):
         """The full-space operator of a block-coordinate matrix S."""
 
     def feasible_block(self, E) -> np.ndarray:
-        """The block-coordinate matrix S(E); DomainError when it is not PSD.  Rows E
-        (n, M) give the stack of their matrices, checked in one batch, and the error
-        reports the first row that is not PSD."""
-        E = np.asarray(E, dtype=float)
+        """The block-coordinate matrix S(E); DomainError when E is not finite or S is not
+        PSD.  Rows E (n, M) give the stack of their matrices, checked in one batch that
+        solves only the matrices its Gershgorin bound cannot clear (_block_psd_check),
+        and the error reports the first row that is not PSD."""
+        E = require_finite(np.asarray(E, dtype=float), self._domain, DomainError)
         S = self._coords.assemble(E if E.ndim == 2 else _as_params(E, self.size), trace=1.0)
         _block_psd_check(S, self._domain)
         return S
@@ -678,6 +686,7 @@ class SelectiveAnsatz(AnsatzFamily):
 
     is_linear = False
     label = "selective"
+    _domain = "selective parameter vector"
 
     def __init__(self, X, eigenvalue: float):
         X = require_finite(require_hermitian(X, name="measured observable"), "measured observable")
@@ -699,7 +708,7 @@ class SelectiveAnsatz(AnsatzFamily):
         self.relevant = RelevantSet(tuple(hermitize(U @ P @ Ud) for P in self._coords.P))
 
     def _sigma_of(self, E: np.ndarray) -> tuple[np.ndarray, float]:
-        S = self._coords.assemble(E, trace=None)
+        S = self._coords.assemble(require_finite(E, self._domain, DomainError), trace=None)
         weight = float(S.trace().real)
         if weight < ZERO_BRANCH_TOL:
             raise ZeroProbabilityBranchError(
@@ -711,7 +720,7 @@ class SelectiveAnsatz(AnsatzFamily):
         E = _as_params(E, self.size)
         S, weight = self._sigma_of(E)
         S = S / weight
-        _block_psd_check(S, "selective parameter vector")
+        _block_psd_check(S, self._domain)
         return hermitize(self._U @ S @ self._U.conj().T)
 
     def derivative_of(self, E) -> np.ndarray:

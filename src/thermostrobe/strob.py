@@ -165,7 +165,8 @@ def _affine_walk(family: _LinearAnsatz, x0: np.ndarray, n: int, interval: float,
     check points S @ y, which must be feasible, and ends at R @ y.  With complex
     pairings, the imaginary parts of pairings @ y at every segment start must stay
     within IMAG_TOL, as in extract_params.  Chunks of at most CHECK_BATCH points are
-    advanced, then checked at once, their points in one feasible_block call.  A chunk
+    advanced, then checked at once, their points in one feasible_block call, where an
+    eigensolve runs only for the points a Gershgorin bound cannot clear.  A chunk
     that fails, in its check or in its recursion, is walked again by _walk from the row
     of its first step, each segment checked before it advances, so the first failure
     raises with its protocol step; if that walk passes, the chunk's own error raises.

@@ -377,6 +377,24 @@ def test_block_families_reject_non_finite_inputs(build):
         build(np.diag([np.nan, 1.0]).astype(complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, E", [
+    (lambda: PinchingAnsatz(np.diag([0.0, 1.0, 2.0])), [0.3, 0.2]),
+    (lambda: SelectiveAnsatz(np.diag([0.0, 0.0, 1.0]), 0.0), [0.6, 0.2, 0.0, 0.4]),
+    (lambda: FactorizedAnsatz(np.eye(2) / 2, (2, 2)), [0.5, 0.2, 0.0]),
+], ids=["pinching", "selective", "factorized"])
+def test_block_families_refuse_non_finite_parameters(build, E, bad):
+    # a NaN eigenvalue or bound compares false with the PSD floor: the check refuses it first
+    fam = build()
+    fam.state_of(E)
+    for m in (0, 1):  # a diagonal coordinate and a coherence
+        E_bad = np.array(E, dtype=float)
+        E_bad[m] = bad
+        with pytest.raises(DomainError, match=f"^non-finite entries in {fam._domain}$"):
+            fam.state_of(E_bad)
+        assert not fam.feasible(E_bad)
+
+
 def test_pinching_state_of_rejects_negative_block():
     X = np.diag([0.0, 1.0]).astype(complex)
     fam = PinchingAnsatz(X)

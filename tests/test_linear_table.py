@@ -7,7 +7,9 @@ velocities are compared with state_of plus Frobenius pairings on random
 generators and families, and infeasible points are checked to fail as
 state_of fails.  run_ode integrates these families by the exact RK4 maps of
 the affine velocity; its rows and its errors are compared with integrate
-driven by the per-point velocity.
+driven by the per-point velocity.  The PSD check's Gershgorin certificate is
+compared with the eigensolve alone, and counted blocks show which points
+reach the eigensolve.
 """
 
 import re
@@ -29,11 +31,13 @@ from thermostrobe import (
     apply_heisenberg,
     extract_params,
     frobenius,
+    hermitize,
     integrate,
     run_discrete,
     run_ode,
 )
-from thermostrobe.ansatz import IMAG_TOL
+from thermostrobe import ansatz
+from thermostrobe.ansatz import IMAG_TOL, PSD_FLOOR, _block_psd_check
 from thermostrobe.strob import CHECK_BATCH, FD_STEP, _affine_walk
 from tutil import random_density, random_factorized, random_generator, random_pinching
 
@@ -445,3 +449,131 @@ def test_checks_come_in_bounded_batches(monkeypatch):
         run_ode(gen, fam, [0.5], StrobConfig(lam=1.0, dt=0.1, horizon=2.0 if ode_step == 0.01 else 0.2,
                                              ode_step=ode_step), order=2)
         assert sizes == expected
+
+
+@pytest.mark.parametrize("kind", ["pinching", "factorized"])
+@pytest.mark.parametrize("run", [
+    lambda gen, fam, E0, cfg: run_discrete(gen, fam, E0, cfg),
+    lambda gen, fam, E0, cfg: run_ode(gen, fam, E0, cfg, order=1),
+    lambda gen, fam, E0, cfg: run_ode(gen, fam, E0, cfg, order=2),
+], ids=["discrete", "ode1", "ode2"])
+def test_runs_from_a_nan_start_raise_at_step_0(kind, run):
+    # NaN rows compare false with the PSD floor: the check must refuse them itself
+    gen, fam = pump_run_setup(kind)
+    with pytest.raises(DomainError) as err:
+        run(gen, fam, start_of(kind, np.nan), StrobConfig(lam=1.0, dt=0.1, horizon=1.0))
+    assert str(err.value) == f"protocol step 0 (t = 0): non-finite entries in {fam._domain}"
+
+
+# ---------------------------------------------------------------------------
+# The PSD check: a Gershgorin bound clears what it can, eigvalsh decides the rest.
+
+
+def eigensolve_check(S, what):
+    """The PSD check by one batched eigvalsh alone: the reference for _block_psd_check."""
+    wmin = np.linalg.eigvalsh(hermitize(S))[..., 0]
+    bad = np.flatnonzero(wmin < PSD_FLOOR * (1.0 + np.abs(S).max(axis=(-2, -1))))
+    if bad.size:
+        raise DomainError(f"{what} lies outside the feasible domain: "
+                          f"eigenvalue {wmin.flat[bad[0]]:.3e} < 0")
+
+
+def check_outcome(check, S):
+    try:
+        check(S, "test block")
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+def random_blocks(rng, n, d, weights):
+    """n Hermitian d x d blocks, each drawn as one of: a full-rank density matrix, a pure
+    state, a density matrix pinched to random diagonal blocks, a matrix whose lowest
+    eigenvalue lies 1e-13 to 1e-6 above, or below, the PSD floor, or a random Hermitian
+    matrix (mostly indefinite); weights are the odds of each of these six kinds."""
+    G = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    GG = G @ np.swapaxes(G, -1, -2).conj()  # Hermitian up to rounding, as assembled blocks are
+    interior = GG / np.trace(GG, axis1=-2, axis2=-1).real[:, None, None]
+    v = G[:, :, :1]
+    pure = v @ np.swapaxes(v, -1, -2).conj() / np.sum(np.abs(v) ** 2, axis=(-2, -1))[:, None, None]
+    groups = rng.integers(0, 2, size=(n, d))
+    pinched = interior * (groups[:, :, None] == groups[:, None, :])
+    K = hermitize(G)
+    eye = np.eye(d)
+    near = []
+    for side in (1.0, -1.0):
+        X = K - np.linalg.eigvalsh(K)[:, :1, None] * eye  # lowest eigenvalue 0
+        gap = side * 10.0 ** rng.uniform(-13, -6, size=n)
+        for _ in range(2):  # the floor depends on the entries the shift moves
+            floor = PSD_FLOOR * (1.0 + np.abs(X).max(axis=(-2, -1)))
+            X = X + (floor + gap - np.linalg.eigvalsh(X)[:, 0])[:, None, None] * eye
+        near.append(X)
+    kinds = rng.choice(6, size=n, p=np.asarray(weights) / sum(weights))
+    return np.choose(kinds[:, None, None], [interior, pure, pinched, *near, K])
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 3), min_size=6, max_size=6), st.booleans(), st.booleans())
+def test_gershgorin_certificate_keeps_the_eigensolve_verdict(n, d, seed, weights, feasible, single):
+    if feasible:  # no block of the two kinds below the floor
+        weights[4:] = 0, 0
+    weights[0] += not any(weights)
+    S = random_blocks(np.random.default_rng(seed), n, d, weights)
+    if single:  # one block as a 2-D matrix, as a single E gives it
+        S = S[-1]
+    assert check_outcome(_block_psd_check, S) == check_outcome(eigensolve_check, S)
+
+
+def test_psd_check_refuses_non_finite_blocks():
+    # a NaN bound, like a NaN eigenvalue, is not below the floor: both would pass
+    S = np.array([np.eye(2) / 2] * 3, dtype=complex)
+    for bad in (np.nan, np.inf):
+        S[1, 0, 1] = bad
+        with pytest.raises(DomainError, match="^non-finite entries in test block$"):
+            _block_psd_check(S, "test block")
+
+
+@pytest.fixture
+def eigvalsh_blocks(monkeypatch):
+    """The blocks each np.linalg.eigvalsh call receives, seen from thermostrobe.ansatz."""
+    sent = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sent.append(np.array(a).reshape(-1, *np.shape(a)[-2:]))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(ansatz.np.linalg, "eigvalsh", counted)
+    return sent
+
+
+def test_interior_ode_run_sends_no_block_to_eigvalsh(eigvalsh_blocks, monkeypatch):
+    # a thermalizing qubit with a transverse field: every RK4 stage point keeps its
+    # populations near 1/2 and its coherence small, well inside the domain
+    lower = np.kron([[0.0, 0.0], [1.0, 0.0]], np.eye(2)).astype(complex)
+    H = np.kron(np.diag([1.0, 0.0]) + 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    gen = GkslGenerator(H, ((lower, 0.5), (lower.conj().T, 0.3)))
+    fam = FactorizedAnsatz(np.diag([0.4, 0.6]), (2, 2))
+    cfg = StrobConfig(lam=1.0, dt=0.1, horizon=2.0, ode_step=0.025)
+    checked = []
+    original = FactorizedAnsatz.feasible_block
+    monkeypatch.setattr(FactorizedAnsatz, "feasible_block",
+                        lambda self, E: checked.append(len(E)) or original(self, E))
+    eigvalsh_blocks.clear()  # the bath state's density check
+    for order in (1, 2):
+        run_ode(gen, fam, [0.5, 0.2, 0.1], cfg, order=order)
+    assert sum(checked) == 2 * 20 * 4 * 4  # every stage point of 20 intervals of 4 RK4 steps
+    assert eigvalsh_blocks == []
+
+
+def test_only_the_boundary_block_reaches_eigvalsh(eigvalsh_blocks):
+    # rows of the factorized family's (population, 2 Re, 2 Im) coherence coordinates;
+    # row 2 is the pure state with populations (0.8, 0.2), on the domain's boundary,
+    # whose Gershgorin bound 0.2 - 0.4 cannot clear the floor
+    fam = FactorizedAnsatz(np.diag([0.4, 0.6]), (2, 2))
+    rows = np.array([[0.5, 0.2, 0.1], [0.3, 0.0, -0.2], [0.8, 0.8, 0.0], [0.6, -0.1, 0.3]])
+    eigvalsh_blocks.clear()
+    S = fam.feasible_block(rows)
+    assert len(eigvalsh_blocks) == 1
+    assert np.array_equal(eigvalsh_blocks[0], hermitize(S[2:3]))

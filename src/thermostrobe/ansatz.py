@@ -12,7 +12,6 @@ rho -> state_of(Tr(P rho)).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot
@@ -31,7 +30,6 @@ from .liouville import require_density
 from .matcore import (
     exp_neg_kernel,
     frobenius,
-    herm_eig,
     hermitize,
     kron,
     partial_trace,
@@ -66,7 +64,7 @@ class RelevantSet:
     gram_condition: float = field(init=False)
 
     def __post_init__(self) -> None:
-        obs = tuple(require_finite(require_hermitian(P, name=f"observable {m}"), f"observable {m}")
+        obs = tuple(require_hermitian(require_finite(P, f"observable {m}"), name=f"observable {m}")
                     for m, P in enumerate(self.observables))
         if not obs:
             raise ValidationError("a relevant set needs at least one observable")
@@ -162,6 +160,11 @@ def _as_params(E, size: int) -> np.ndarray:
     return E
 
 
+def _rotate(U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """hermitize(U S U^dag), of S or of each matrix of a stack S."""
+    return hermitize(U @ S @ U.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # Generalized Gibbs states
 
@@ -179,8 +182,8 @@ class _GibbsPoint:
     populations q taken from the shifted weights; means holds Tr(X_m rho)
     for every row of the stack, from one product with q.  A non-finite beta,
     or exponents so large that the eigensolve fails or the shifted spectrum
-    overflows, raise DomainError.  attach evaluates another stack at the
-    same point, so a fit point reads images with no second eigensolve.
+    overflows, raise DomainError.  A fit builds each of its points with the
+    stack its caller reads (_fit_point), so the accepted point is the one read.
     """
 
     def __init__(self, relevant: RelevantSet, beta: np.ndarray, stack: np.ndarray | None = None):
@@ -209,25 +212,11 @@ class _GibbsPoint:
         weights = np.exp(-self.k)
         self.Z = float(weights.sum())
         self.q = weights / self.Z
-        self._read(X, M)
-
-    def _read(self, X: np.ndarray, M: int) -> None:
-        """Take X, the stack rotated into U (or a table), as the point's stack."""
         self.X = X
         self.P = X[:M]
         self.means = (X if self.diagonal else X.diagonal(0, 1, 2).real) @ self.q
         self.E = self.means[:M]
         self._slopes = None
-
-    def attach(self, stack: np.ndarray) -> _GibbsPoint:
-        """The same point evaluating another stack [P; X] (RelevantSet.point_stack):
-        its images are rotated into U, and nothing is diagonalized again."""
-        point = copy(self)
-        point.__dict__.pop("jacobian", None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = stack if self.diagonal else self.U.conj().T @ stack @ self.U
-        point._read(X, len(self.E))
-        return point
 
     def slopes(self, rows: int) -> np.ndarray:
         """D_mn = d Tr(X_m rho) / d beta_n for the first rows of the stack: one
@@ -287,8 +276,7 @@ class _GibbsPoint:
         it is -U diag(q (w_n - E_n)) U^dag when the observables commute."""
         P = np.einsum("mi,ij->mij", self.P, np.eye(len(self.q))) if self.diagonal else self.P
         inner = self._kernel * P / self.Z + self.E[:, None, None] * np.diag(self.q)
-        Ud = self.U.conj().T
-        return np.array([hermitize(self.U @ D @ Ud) for D in inner])
+        return _rotate(self.U, inner)
 
     def derivative(self) -> np.ndarray:
         """Stack of d rho / d E_j, by the chain rule through beta(E)."""
@@ -384,9 +372,11 @@ def _check_fit_settings(tol: float, max_iter: int) -> None:
         raise ValidationError(f"fit max_iter must be at least 1, got {max_iter}")
 
 
-def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: int):
-    """fit_beta's solve, returning the Gibbs point at the fitted beta (the
-    one Newton accepted last) with the residual and iteration count."""
+def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: int,
+               stack: np.ndarray | None = None):
+    """fit_beta's solve, returning the Gibbs point at the fitted beta (the one Newton
+    accepted last) with the residual and iteration count; every point the solve builds
+    evaluates stack, so the point returned is already the one its caller reads."""
     target = require_finite(_as_params(target, relevant.size), "fit target", DomainError)
     if relevant.size == 1:
         kmin, kmax, margin = _canonical_bounds(relevant)
@@ -396,7 +386,7 @@ def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: i
                 f"boundary ({kmin:.12g}, {kmax:.12g})"
             )
     beta = np.zeros(relevant.size) if beta_init is None else _as_params(beta_init, relevant.size).copy()
-    point = _GibbsPoint(relevant, beta)
+    point = _GibbsPoint(relevant, beta, stack)
     best = float(np.max(np.abs(point.E - target)))
     failure = f"no convergence after {max_iter} iterations"
     iterations = 0
@@ -410,7 +400,7 @@ def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: i
             break
         scale = 1.0
         for _ in range(60):
-            candidate = _GibbsPoint(relevant, beta + scale * step)
+            candidate = _GibbsPoint(relevant, beta + scale * step, stack)
             r = float(np.max(np.abs(candidate.E - target)))
             if r < best:
                 beta, point, best = candidate.beta, candidate, r
@@ -422,7 +412,7 @@ def _fit_point(relevant: RelevantSet, target, beta_init, tol: float, max_iter: i
     if not best <= tol:
         if relevant.size > 1:
             raise FitError(f"{failure}, residual {best:.3e}")
-        point = _GibbsPoint(relevant, np.array([_bisect_beta(relevant, float(target[0]), tol)]))
+        point = _GibbsPoint(relevant, np.array([_bisect_beta(relevant, float(target[0]), tol)]), stack)
         best = float(abs(point.E[0] - target[0]))
     return point, {"residual": best, "iterations": iterations}
 
@@ -504,8 +494,6 @@ def posterior(family: AnsatzFamily, rho) -> np.ndarray:
 class GibbsAnsatz(AnsatzFamily):
     """Generalized Gibbs family over a relevant set, with Newton-fitted exponents."""
 
-    is_linear = False
-
     def __init__(self, observables, fit_tol: float = FIT_TOL, fit_max_iter: int = 200):
         _check_fit_settings(fit_tol, fit_max_iter)
         self.relevant = _as_relevant(observables)
@@ -517,16 +505,13 @@ class GibbsAnsatz(AnsatzFamily):
     def canonical(cls, hamiltonian, **kwargs) -> "GibbsAnsatz":
         return cls((hamiltonian,), **kwargs)
 
-    def point_of(self, E, beta_init=None) -> _GibbsPoint:
-        """The Gibbs point at the fitted exponents, as the fit left it; beta_of, state_of and
-        derivative_of read it."""
+    def point_of(self, E, beta_init=None, stack: np.ndarray | None = None) -> _GibbsPoint:
+        """The Gibbs point at the fitted exponents, as the fit left it, evaluating stack
+        (RelevantSet.point_stack, by default the observables alone)."""
         try:
-            return _fit_point(self.relevant, E, beta_init, self.fit_tol, self.fit_max_iter)[0]
+            return _fit_point(self.relevant, E, beta_init, self.fit_tol, self.fit_max_iter, stack)[0]
         except FitError as err:
             raise DomainError(f"parameters appear infeasible for the Gibbs family: {err}") from err
-
-    def beta_of(self, E, beta_init=None) -> np.ndarray:
-        return self.point_of(E, beta_init).beta
 
     def state_of(self, E) -> np.ndarray:
         return self.point_of(E).state()
@@ -543,7 +528,12 @@ class GibbsAnsatz(AnsatzFamily):
 # Block-coordinate (linear and selective) families
 
 
-def _cluster_eigenvalues(w: np.ndarray) -> list[list[int]]:
+def _eigenbasis(X, name: str) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Eigenvalues w (ascending), eigenvector columns U and eigenvalue clusters of a
+    family's reference observable X; a cluster is the indices within EIG_CLUSTER_TOL *
+    (1 + max|w|) of its first.  ValidationError, naming X, when X is not finite and Hermitian."""
+    X = require_hermitian(require_finite(X, name), name=name)
+    w, U = np.linalg.eigh(X)
     tol = EIG_CLUSTER_TOL * (1.0 + float(np.max(np.abs(w))))
     blocks: list[list[int]] = [[0]]
     for i in range(1, len(w)):
@@ -551,7 +541,7 @@ def _cluster_eigenvalues(w: np.ndarray) -> list[list[int]]:
             blocks[-1].append(i)
         else:
             blocks.append([i])
-    return blocks
+    return w, U, blocks
 
 
 class _BlockCoords:
@@ -651,15 +641,12 @@ class PinchingAnsatz(_LinearAnsatz):
     _domain = "pinching parameter vector"
 
     def __init__(self, X):
-        X = require_finite(require_hermitian(X, name="pinched observable"), "pinched observable")
-        w, U = herm_eig(X)
-        self._U = U
-        self._blocks = _cluster_eigenvalues(w)
-        self._coords = _BlockCoords(self._blocks, X.shape[0], drop_last_diag=True)
+        w, self._U, self._blocks = _eigenbasis(X, "pinched observable")
+        self._coords = _BlockCoords(self._blocks, len(w), drop_last_diag=True)
         self.relevant = RelevantSet(tuple(self._embed(P) for P in self._coords.P))
 
     def _embed(self, S: np.ndarray) -> np.ndarray:
-        return hermitize(self._U @ S @ self._U.conj().T)
+        return _rotate(self._U, S)
 
     # state_of is defined on each linear family class: perfbench/tracer.py wraps it there
     def state_of(self, E) -> np.ndarray:
@@ -684,14 +671,11 @@ class SelectiveAnsatz(AnsatzFamily):
     unit-block-trace slice (where every posterior lands).
     """
 
-    is_linear = False
     label = "selective"
     _domain = "selective parameter vector"
 
     def __init__(self, X, eigenvalue: float):
-        X = require_finite(require_hermitian(X, name="measured observable"), "measured observable")
-        w, U = herm_eig(X)
-        blocks = _cluster_eigenvalues(w)
+        w, self._U, blocks = _eigenbasis(X, "measured observable")
         tol = EIG_CLUSTER_TOL * (1.0 + float(np.max(np.abs(w))))
         selected = None
         for block in blocks:
@@ -700,12 +684,8 @@ class SelectiveAnsatz(AnsatzFamily):
                 break
         if selected is None:
             raise ValidationError(f"eigenvalue {eigenvalue} is not in the spectrum {w}")
-        self._U = U
-        self._block = selected
-        d = X.shape[0]
-        self._coords = _BlockCoords([selected], d, drop_last_diag=False)
-        Ud = U.conj().T
-        self.relevant = RelevantSet(tuple(hermitize(U @ P @ Ud) for P in self._coords.P))
+        self._coords = _BlockCoords([selected], len(w), drop_last_diag=False)
+        self.relevant = RelevantSet(tuple(_rotate(self._U, self._coords.P)))
 
     def _sigma_of(self, E: np.ndarray) -> tuple[np.ndarray, float]:
         S = self._coords.assemble(require_finite(E, self._domain, DomainError), trace=None)
@@ -721,15 +701,14 @@ class SelectiveAnsatz(AnsatzFamily):
         S, weight = self._sigma_of(E)
         S = S / weight
         _block_psd_check(S, self._domain)
-        return hermitize(self._U @ S @ self._U.conj().T)
+        return _rotate(self._U, S)
 
     def derivative_of(self, E) -> np.ndarray:
         E = _as_params(E, self.size)
         S, weight = self._sigma_of(E)
         D = self._coords.D
         raw = D / weight - S * (np.einsum("maa->m", D).real / weight**2)[:, None, None]
-        Ud = self._U.conj().T
-        return np.array([hermitize(self._U @ R @ Ud) for R in raw])
+        return _rotate(self._U, raw)
 
 
 class FactorizedAnsatz(_LinearAnsatz):

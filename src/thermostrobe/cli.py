@@ -410,7 +410,7 @@ def run_protocol(proto: str, model: ModelBundle, family: AnsatzFamily, cfg: Stro
     if proto in ("ode1", "ode2"):
         return run_ode(model.generator, family, E0, cfg, order=int(proto[-1]), with_temps=emit_beta)
     if proto == "ode-temperature":
-        beta0 = beta_probe if beta_probe is not None else float(_as_step(0, cfg.dt, family.beta_of, E0)[0])
+        beta0 = beta_probe if beta_probe is not None else _as_step(0, cfg.dt, family.point_of, E0).beta.item()
         return run_ode_temperature(model.generator, family, beta0, cfg)
     times = np.arange(cfg.n_steps() + 1) * cfg.dt  # closed-form
     params = qubit_E_closed_form(times, float(E0[0]), model.qubit).reshape(-1, 1)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ansatz import qubit_beta_closed_form
 from .errors import DomainError, ValidationError
 from .liouville import GkslGenerator
 from .matcore import SIGMA_MINUS, SIGMA_PLUS, require_finite
@@ -136,11 +137,8 @@ def qubit_E_closed_form(t, E0: float, p: QubitParams):
 
 
 def qubit_beta_stationary(p: QubitParams) -> float:
-    """Apparent inverse temperature -ln(E_st / (omega0 - E_st)) / omega0 of the fixed point."""
-    E_st = qubit_E_stationary(p)
-    if not (0.0 < E_st < p.omega0):
-        raise DomainError(f"stationary energy {E_st} is outside (0, omega0)")
-    return float(-np.log(E_st / (p.omega0 - E_st)) / p.omega0)
+    """Apparent inverse temperature of the fixed point, qubit_beta_closed_form(E_st, omega0)."""
+    return float(qubit_beta_closed_form(qubit_E_stationary(p), p.omega0))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .liouville import GkslGenerator, Propagator, apply_heisenberg
-from .matcore import frobenius
+from .matcore import frobenius, require_finite
 
 STEP_CAP_DEFAULT = 10_000_000
 GRID_TOL = 1e-9  # grid mismatch allowed, as a fraction of the step count (at least 1 step)
@@ -164,7 +164,8 @@ def _affine_walk(family: _LinearAnsatz, x0: np.ndarray, n: int, interval: float,
     segments() gives the segments (R, S) of one interval: a segment from y has the
     check points S @ y, which must be feasible, and ends at R @ y.  With complex
     pairings, the imaginary parts of pairings @ y at every segment start must stay
-    within IMAG_TOL, as in extract_params.  Chunks of at most CHECK_BATCH points are
+    within IMAG_TOL, as in extract_params.  A non-finite x0 is refused as step 0, before
+    a product can meet inf * 0.  Chunks of at most CHECK_BATCH points are
     advanced, then checked at once, their points in one feasible_block call, where an
     eigensolve runs only for the points a Gershgorin bound cannot clear.  A chunk
     that fails, in its check or in its recursion, is walked again by _walk from the row
@@ -182,6 +183,7 @@ def _affine_walk(family: _LinearAnsatz, x0: np.ndarray, n: int, interval: float,
             y = R @ y
         return y
 
+    _as_step(0, interval, require_finite, x0, family._domain, DomainError)
     rows = np.empty((n + 1, len(x0)))
     rows[0] = y = x0
     starts, points = [], []  # segment starts and check points of the chunk, not yet checked
@@ -258,8 +260,8 @@ class ContinuumLimit:
     the velocity gradient along the family, always analytic; fd_gradient gives
     its central-difference counterpart as a check.  Gibbs fits are
     warm-started from the previous fit, their exponents kept in order in
-    fitted, and the fit point reads the images (_GibbsPoint.attach).  A
-    gibbs_point evaluates the stack [P; A; B] at once, and one
+    fitted, and a fit builds its points on [P; images] (_point_stack), so the
+    point it accepts is the one read.  A gibbs_point evaluates [P; A; B], and one
     contraction of its [P; A] rows gives J and the gradient in beta,
     G = d<A>/dbeta, so W = G J^-1; when the Gibbs observables commute the
     stack is a table of diagonals built once, and no d x d matrix is formed.
@@ -309,9 +311,9 @@ class ContinuumLimit:
 
     def _point(self, E: np.ndarray) -> _GibbsPoint:
         """The Gibbs point fitted to E, warm-started from the previous fit, reading the images."""
-        point = self.family.point_of(E, beta_init=self.fitted[-1] if self.fitted else None)
+        point = self.family.point_of(E, self.fitted[-1] if self.fitted else None, self._point_stack)
         self.fitted.append(point.beta)
-        return point.attach(self._point_stack)
+        return point
 
     def read(self, E, gradient: bool = False):
         """(Tr(X_k rho(E)) for every image X_k, W_mj = d Tr(X_m rho(E)) / dE_j for the first

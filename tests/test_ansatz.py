@@ -377,6 +377,23 @@ def test_block_families_reject_non_finite_inputs(build):
         build(np.diag([np.nan, 1.0]).astype(complex))
 
 
+@pytest.mark.parametrize("X", [
+    [[0.0, 1.0], [0.0, 0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+], ids=["non-hermitian", "nan", "inf"])
+@pytest.mark.parametrize("build, name", [
+    (lambda X: PinchingAnsatz(X), "pinched observable"),
+    (lambda X: SelectiveAnsatz(X, 1.0), "measured observable"),
+    (lambda X: GibbsAnsatz((X,)), "observable 0"),
+], ids=["pinching", "selective", "gibbs"])
+def test_observable_errors_name_the_observable(build, name, X):
+    # an infinite entry is refused before the Hermiticity check, whose X - X^dag
+    # would turn it into a NaN with a numpy warning
+    with pytest.raises(ValidationError, match=f"^(non-finite entries in )?{name}( is not Hermitian|$)"):
+        build(np.array(X, dtype=complex))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("build, E", [
     (lambda: PinchingAnsatz(np.diag([0.0, 1.0, 2.0])), [0.3, 0.2]),

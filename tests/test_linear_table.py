@@ -451,18 +451,35 @@ def test_checks_come_in_bounded_batches(monkeypatch):
         assert sizes == expected
 
 
-@pytest.mark.parametrize("kind", ["pinching", "factorized"])
-@pytest.mark.parametrize("run", [
+ROUTES = [
     lambda gen, fam, E0, cfg: run_discrete(gen, fam, E0, cfg),
     lambda gen, fam, E0, cfg: run_ode(gen, fam, E0, cfg, order=1),
     lambda gen, fam, E0, cfg: run_ode(gen, fam, E0, cfg, order=2),
-], ids=["discrete", "ode1", "ode2"])
+]
+
+
+@pytest.mark.parametrize("kind", ["pinching", "factorized"])
+@pytest.mark.parametrize("run", ROUTES, ids=["discrete", "ode1", "ode2"])
 def test_runs_from_a_nan_start_raise_at_step_0(kind, run):
     # NaN rows compare false with the PSD floor: the check must refuse them itself
     gen, fam = pump_run_setup(kind)
     with pytest.raises(DomainError) as err:
         run(gen, fam, start_of(kind, np.nan), StrobConfig(lam=1.0, dt=0.1, horizon=1.0))
     assert str(err.value) == f"protocol step 0 (t = 0): non-finite entries in {fam._domain}"
+
+
+@pytest.mark.parametrize("kind", ["pinching", "factorized"])
+@pytest.mark.parametrize("run", ROUTES, ids=["discrete", "ode1", "ode2"])
+def test_runs_from_an_infinite_start_raise_at_step_0(kind, run):
+    # an infinite entry times a 0 of the recursion is NaN with a numpy warning, which
+    # pytest makes an error: the start must be refused before the first product
+    gen, fam = pump_run_setup(kind)
+    starts = ([[np.inf], [-np.inf]] if kind == "pinching"
+              else [[np.inf, 0.0, 0.0], [0.5, -np.inf, 0.0]])
+    for E0 in starts:
+        with pytest.raises(DomainError) as err:
+            run(gen, fam, np.array(E0), StrobConfig(lam=1.0, dt=0.1, horizon=1.0))
+        assert str(err.value) == f"protocol step 0 (t = 0): non-finite entries in {fam._domain}"
 
 
 # ---------------------------------------------------------------------------

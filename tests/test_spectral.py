@@ -25,6 +25,7 @@ from thermostrobe import (
     DegenerateAnsatzError,
     DomainError,
     GibbsAnsatz,
+    Propagator,
     RelevantSet,
     StrobConfig,
     apply_heisenberg,
@@ -111,7 +112,7 @@ def check_point(rng, rs, beta):
     assert_close(fam.derivative_from_beta(beta), derivs)
     assert_close(fam.derivative_of(E), derivs)
     # a residual of TOL in the expectations moves beta by at most TOL |J^-1|
-    fitted = fam.beta_of(E)
+    fitted = fam.point_of(E).beta
     assert float(np.max(np.abs(fitted - beta))) <= TOL * np.linalg.norm(np.linalg.inv(J), 2)
 
     gen = random_generator(rng, rs.dim)
@@ -284,3 +285,23 @@ def test_one_eigensolve_per_e_route_moments(monkeypatch, rng, obs, eigh_calls):
     ref_a, ref_b = np.split(limit.gibbs_point(limit.fitted[-1]).means[2:], 2)
     np.testing.assert_array_equal(a, ref_a)
     np.testing.assert_array_equal(b, ref_b)
+
+
+@pytest.mark.parametrize("images", ["heisenberg", "discrete"])
+@pytest.mark.parametrize("obs, beta", [
+    ((SIGMA_Z,), [0.7]),
+    ((SZ1, SX1), [0.3, -0.2]),
+], ids=["qubit", "spin-1"])
+def test_fit_point_is_the_point_read(rng, obs, beta, images):
+    # every point of a fit is built on the limit's stack [P; images]: the accepted point
+    # reads the same moments, bit for bit, as a point built afresh at its exponents
+    family = GibbsAnsatz(obs)
+    gen = random_generator(rng, family.dim)
+    stack = None if images == "heisenberg" else \
+        Propagator.build(gen, CFG.lam * CFG.dt).adjoint(family.relevant.stack)
+    limit = ContinuumLimit(gen, family, CFG, stack)
+    M = family.size
+    E = gibbs_expectations(family.relevant, beta)
+    for shift in (0.0, 1e-3):  # a cold fit, then a warm one
+        x = limit.read(E + shift)[0]
+        assert np.array_equal(x, limit.gibbs_point(limit.fitted[-1]).means[M:])

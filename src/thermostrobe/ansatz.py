@@ -170,75 +170,93 @@ def _rotate(U: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 class _GibbsPoint:
-    """Every Gibbs quantity at one exponent vector beta, from one
-    factorization K = (beta, P) = U diag(k) U^dag.
+    """Every Gibbs quantity at one exponent vector beta (M,), from one
+    factorization K = (beta, P) = U diag(k) U^dag; or at every vector of a
+    stack beta (..., M) at once, the rows() of an (n, M) stack being the
+    points at its vectors.
 
     The point evaluates one operator stack [P; X] (RelevantSet.point_stack,
     by default the observables alone).  When the observables commute, U is
     their cached common eigenbasis, k = beta w and the stack is already a
-    table of diagonals in U, so nothing is diagonalized or rotated;
-    otherwise K is diagonalized once and the whole stack is rotated into U
-    in one product.  The spectrum k is shifted to start at 0, with Z and the
-    populations q taken from the shifted weights; means holds Tr(X_m rho)
-    for every row of the stack, from one product with q.  A non-finite beta,
-    or exponents so large that the eigensolve fails or the shifted spectrum
-    overflows, raise DomainError.  A fit builds each of its points with the
-    stack its caller reads (_fit_point), so the accepted point is the one read.
+    table of diagonals in U, so nothing is diagonalized or rotated and a
+    stack of exponents is one table product; otherwise every K goes to one
+    batched eigh and [P; X] is rotated into every U in one product.  Each
+    vector meets P in a vector-matrix product of its own and q in a
+    matrix-vector product of its own (one matrix product over the stack
+    could sum in another order), and LAPACK and BLAS run matrix by matrix,
+    so each row of a stack has the bits of its lone point.  The spectrum k
+    is shifted to start at 0, with Z and the populations q taken from the
+    shifted weights; means holds Tr(X_m rho) for every row of the operator
+    stack, from one product with q.  A non-finite beta, or exponents so
+    large that the eigensolve fails or the shifted spectrum overflows, raise
+    DomainError.  slopes contracts a whole stack at once; the other
+    derivative quantities are read at one point.  A fit builds each of its
+    points with the stack its caller reads (_fit_point), so the accepted
+    point is the one read.
     """
 
     def __init__(self, relevant: RelevantSet, beta: np.ndarray, stack: np.ndarray | None = None):
-        self.beta = beta
         M = relevant.size
         basis = relevant.spectral_basis
-        self.diagonal = basis is not None
         X = relevant.point_stack() if stack is None else stack
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.diagonal:
-                self.U = basis[0]
-                k = beta @ X[:M]
+            rows = beta[..., None, :]  # one (1, M) row per vector
+            if basis is not None:
+                U = basis[0]
+                k = (rows @ X[:M])[..., 0, :]
             else:
                 d = X.shape[-1]
-                K = (beta @ X[:M].reshape(M, d * d)).reshape(d, d)
+                K = (rows @ X[:M].reshape(M, d * d)).reshape(*beta.shape[:-1], d, d)
                 require_finite(K, "exponent operator (beta, P)", DomainError)
                 try:
-                    k, self.U = np.linalg.eigh(hermitize(K))
+                    k, U = np.linalg.eigh(hermitize(K))
                 except np.linalg.LinAlgError as err:  # entries near the float range
                     raise DomainError(f"Gibbs exponents {beta}: the eigensolve of (beta, P) failed") from err
-                X = self.U.conj().T @ X @ self.U
-            k = k - k.min()
-        if not np.isfinite(k).all():  # also every non-finite beta
+                X = U.conj().swapaxes(-1, -2)[..., None, :, :] @ X @ U[..., None, :, :]
+            k -= np.minimum.reduce(k, axis=-1, keepdims=True)  # ufunc reduce: no method wrapper
+        if not np.maximum.reduce(k, axis=None) < np.inf:  # k >= 0 once shifted: an entry is inf or NaN
             raise DomainError(f"Gibbs exponents {beta} give a non-finite spectrum of (beta, P)")
-        self.k = k
-        weights = np.exp(-self.k)
-        self.Z = float(weights.sum())
-        self.q = weights / self.Z
-        self.X = X
-        self.P = X[:M]
-        self.means = (X if self.diagonal else X.diagonal(0, 1, 2).real) @ self.q
-        self.E = self.means[:M]
-        self._slopes = None
+        q = np.exp(-k)
+        Z = np.add.reduce(q, axis=-1, keepdims=True)
+        q /= Z
+        means = ((X if basis is not None else X.diagonal(0, -2, -1).real) @ q[..., None])[..., 0]
+        self.beta, self.diagonal, self.U, self.X = beta, basis is not None, U, X
+        self.k, self.Z, self.q, self.means, self.E, self._slopes = k, Z, q, means, means[..., :M], None
+
+    def rows(self) -> list[_GibbsPoint]:
+        """The point at each exponent vector of a stack (n, M), viewing the stack's arrays:
+        a table and its basis serve every row, and each row gets its slice of the slopes
+        contracted so far."""
+        rows = []
+        for i in range(len(self.beta)):
+            point = _GibbsPoint.__new__(_GibbsPoint)
+            point.beta, point.diagonal, point.k, point.Z, point.q = \
+                self.beta[i], self.diagonal, self.k[i], self.Z[i], self.q[i]
+            point.U, point.X = (self.U, self.X) if self.diagonal else (self.U[i], self.X[i])
+            point.means, point.E = self.means[i], self.E[i]
+            point._slopes = None if self._slopes is None else self._slopes[i]
+            rows.append(point)
+        return rows
 
     def slopes(self, rows: int) -> np.ndarray:
-        """D_mn = d Tr(X_m rho) / d beta_n for the first rows of the stack: one
-        contraction of those rows against P, whose top M x M block is J before
-        symmetrization.  The widest block computed is kept for narrower calls.
+        """D_mn = d Tr(X_m rho) / d beta_n for the first rows of the operator stack, at
+        the point or at every point of a stack (..., rows, M): one contraction of those
+        rows against P, whose top M x M block is J before symmetrization.  The widest
+        block computed is kept for narrower calls, and rows() hands each row its slice.
         A table is contracted in blocks of M rows, each rounded as a lone block."""
-        if self._slopes is None or len(self._slopes) < rows:
-            X, M = self.X[:rows], len(self.E)
+        if self._slopes is None or self._slopes.shape[-2] < rows:
+            M = self.E.shape[-1]
             if self.diagonal:
-                D = (X * -self.q).reshape(-1, M, len(self.q)) @ (self.P - self.E[:, None]).T
-                self._slopes = D.reshape(rows, M)
+                C = (self.X[:M] - self.E[..., None]).swapaxes(-1, -2)[..., None, :, :]  # (..., 1, d, M)
+                blocks = self.X[:rows].reshape(-1, M, C.shape[-2]) * -self.q[..., None, None, :]
+                self._slopes = (blocks @ C).reshape(self.E.shape[:-1] + (rows, M))
             else:
-                D = np.einsum("mji,ij,nij->mn", X, self._kernel, self.P).real / self.Z
-                self._slopes = D + self.means[:rows, None] * self.E
-        return self._slopes[:rows]
+                D = np.einsum("...mji,...ij,...nij->...mn", self.X[..., :rows, :, :], exp_neg_kernel(self.k),
+                              self.X[..., :M, :, :]).real / self.Z[..., None]
+                self._slopes = D + self.means[..., :rows, None] * self.E[..., None, :]
+        return self._slopes[..., :rows, :]
 
-    @cached_property
-    def _kernel(self) -> np.ndarray:
-        """Daleckii-Krein kernel of exp(-k), shared by every derivative at this point."""
-        return exp_neg_kernel(self.k)
-
-    @cached_property
+    @property
     def jacobian(self) -> np.ndarray:
         """Response matrix J_mn = d E_m / d beta_n, symmetrized."""
         J = self.slopes(len(self.E))
@@ -248,10 +266,11 @@ class _GibbsPoint:
         """J^-1, refused when the smallest |eigenvalue| of J is at most
         JACOBIAN_RCOND times the largest; closed forms for M <= 2."""
         J = self.jacobian
+        entries = J.tolist()  # Python floats: the closed forms cost less than on numpy scalars
         if len(J) == 1:
-            small = large = abs(J[0, 0])
+            small = large = abs(entries[0][0])
         elif len(J) == 2:
-            a, b, c = J[0, 0], J[0, 1], J[1, 1]
+            (a, b), (_, c) = entries
             mean, radius = 0.5 * abs(a + c), hypot(0.5 * (a - c), b)
             small, large = abs(mean - radius), mean + radius
         else:
@@ -274,8 +293,10 @@ class _GibbsPoint:
     def param_derivative(self) -> np.ndarray:
         """Stack of d rho / d beta_n from the Daleckii-Krein kernel of exp(-K);
         it is -U diag(q (w_n - E_n)) U^dag when the observables commute."""
-        P = np.einsum("mi,ij->mij", self.P, np.eye(len(self.q))) if self.diagonal else self.P
-        inner = self._kernel * P / self.Z + self.E[:, None, None] * np.diag(self.q)
+        P = self.X[:len(self.E)]
+        if self.diagonal:
+            P = np.einsum("mi,ij->mij", P, np.eye(len(self.q)))
+        inner = exp_neg_kernel(self.k) * P / self.Z + self.E[:, None, None] * np.diag(self.q)
         return _rotate(self.U, inner)
 
     def derivative(self) -> np.ndarray:

@@ -55,15 +55,16 @@ from .models import (
     qubit_generator,
 )
 from .strob import (
+    ODE_ORDERS,
     ContinuumLimit,
     StrobConfig,
     Trajectory,
     _as_step,
+    _raised,
     _velocity,
     invariant_subspace_matrix,
     run_discrete,
-    run_ode,
-    run_ode_temperature,
+    run_odes,
 )
 
 PROTOCOLS = ("discrete", "ode1", "ode2", "ode-temperature", "closed-form")
@@ -375,7 +376,8 @@ def build_initial(section, family: AnsatzFamily) -> tuple[np.ndarray, float | No
     if v["beta_probe"] is not None:
         if not isinstance(family, GibbsAnsatz) or family.size != 1:
             raise ConfigError("initial.beta_probe needs a gibbs-canonical ansatz")
-        return gibbs_expectations(family.relevant, [v["beta_probe"]]), v["beta_probe"]
+        # the start point of every protocol: its failure is protocol step 0 (t = 0)
+        return _as_step(0, 0.0, gibbs_expectations, family.relevant, [v["beta_probe"]]), v["beta_probe"]
     try:
         return extract_params(family, v["rho"]), None
     except ValidationError as err:
@@ -407,11 +409,8 @@ def run_protocol(proto: str, model: ModelBundle, family: AnsatzFamily, cfg: Stro
                  E0: np.ndarray, beta_probe: float | None, emit_beta: bool) -> Trajectory:
     if proto == "discrete":
         return run_discrete(model.generator, family, E0, cfg, with_temps=emit_beta)
-    if proto in ("ode1", "ode2"):
-        return run_ode(model.generator, family, E0, cfg, order=int(proto[-1]), with_temps=emit_beta)
-    if proto == "ode-temperature":
-        beta0 = beta_probe if beta_probe is not None else _as_step(0, cfg.dt, family.point_of, E0).beta.item()
-        return run_ode_temperature(model.generator, family, beta0, cfg)
+    if proto in ODE_ORDERS:
+        return _raised(run_odes(model.generator, family, E0, cfg, [proto], beta_probe, emit_beta)[0])
     times = np.arange(cfg.n_steps() + 1) * cfg.dt  # closed-form
     params = qubit_E_closed_form(times, float(E0[0]), model.qubit).reshape(-1, 1)
     temps = None
@@ -503,8 +502,11 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
     }
     diagnostics: dict = {}
     trajectories: dict[str, Trajectory] = {}
+    odes = [proto for proto in protocols if proto in ODE_ORDERS]  # walked together, raised in turn
+    walked = dict(zip(odes, run_odes(model.generator, family, E0, cfg, odes, beta_probe, emit_beta)))
     for proto in protocols:
-        traj = run_protocol(proto, model, family, cfg, E0, beta_probe, emit_beta)
+        traj = _raised(walked[proto]) if proto in walked else \
+            run_protocol(proto, model, family, cfg, E0, beta_probe, emit_beta)
         trajectories[proto] = traj
         fname = f"{name}_{proto}.csv"
         write_csv(os.path.join(out_dir, fname), traj)
@@ -530,8 +532,7 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
 
 def _compare_point(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig, E0) -> dict:
     disc = run_discrete(model.generator, family, E0, cfg)
-    ode1 = run_ode(model.generator, family, E0, cfg, order=1)
-    ode2 = run_ode(model.generator, family, E0, cfg, order=2)
+    ode1, ode2 = map(_raised, run_odes(model.generator, family, E0, cfg, ["ode1", "ode2"]))
     return {
         "alpha": cfg.alpha, "trajectories": (disc, ode1, ode2),
         "deviation_ode1": _grid_deviation(disc, ode1),

@@ -140,23 +140,25 @@ def dexp_neg(K, D) -> np.ndarray:
 
 
 def exp_neg_kernel(w: np.ndarray) -> np.ndarray:
-    """Daleckii-Krein kernel of k -> exp(-k) on a spectrum w: the divided
-    differences (exp(-w_i) - exp(-w_j)) / (w_i - w_j), with the midpoint limit
+    """Daleckii-Krein kernel of k -> exp(-k) on a spectrum w (d,), or on each
+    spectrum of a stack (..., d): the divided differences
+    (exp(-w_i) - exp(-w_j)) / (w_i - w_j), with the midpoint limit
     -exp(-(w_i+w_j)/2) for pairs closer than DEGENERATE_EIG_TOL, which is
-    exactly -exp(-w_i) on the diagonal."""
-    n = len(w)
+    exactly -exp(-w_i) on the diagonal.  Every entry is computed on its own,
+    so each kernel of a stack is the kernel of its spectrum alone."""
+    d = w.shape[-1]
     ew = np.exp(-w)
-    diff = np.subtract.outer(w, w)
-    diff.flat[::n + 1] = 1.0
-    i, j = np.nonzero(np.abs(diff) < DEGENERATE_EIG_TOL)
-    kernel = np.subtract.outer(ew, ew)
-    if i.size:
-        diff[i, j] = 1.0
+    diff = w[..., :, None] - w[..., None, :]
+    diff.reshape(-1, d * d)[:, ::d + 1] = 1.0  # the diagonals, through a view
+    near = np.nonzero(np.abs(diff) < DEGENERATE_EIG_TOL)  # (stack indices..., i, j)
+    kernel = ew[..., :, None] - ew[..., None, :]
+    if near[0].size:
+        diff[near] = 1.0
         kernel /= diff
-        kernel[i, j] = -np.exp(-0.5 * (w[i] + w[j]))
+        kernel[near] = -np.exp(-0.5 * (w[near[:-1]] + w[near[:-2] + near[-1:]]))
     else:
         kernel /= diff
-    kernel.flat[::n + 1] = -ew
+    kernel.reshape(-1, d * d)[:, ::d + 1] = -ew.reshape(-1, d)
     return kernel
 
 

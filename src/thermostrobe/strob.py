@@ -21,7 +21,7 @@ map E -> beta is solved only once, for the initial point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import ceil, isfinite
 
 import numpy as np
@@ -362,7 +362,7 @@ class ContinuumLimit:
     def beta_velocity(self, point: _GibbsPoint, order: int) -> np.ndarray:
         """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1
         (G is contracted first, so J is read from the same contraction)."""
-        M = self.family.size
+        M = len(point.E)
         G = point.slopes(2 * M)[M:] if order == 2 else None
         J_inv = point.response_inverse()
         W = G @ J_inv if order == 2 else None
@@ -417,7 +417,9 @@ def rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
 
 def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
     """Classic fourth-order Runge-Kutta over cfg.horizon, sampled on the dt
-    grid with dt / ode_step steps per interval; rhs maps an array to an array."""
+    grid with dt / ode_step steps per interval; rhs maps an array to an array
+    of its shape, so x0 may be one state (M,) or a stack of them (n, M), whose
+    rows every stage advances together; the rows come back as (T, n, M)."""
     n_sub, h = cfg.substeps, cfg.dt / cfg.substeps
 
     def advance(x: np.ndarray) -> np.ndarray:
@@ -469,49 +471,127 @@ def _rk4_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
     return Trajectory(np.arange(n + 1) * cfg.dt, rows[:, :M], meta={"ode_step": h, "substeps": n_sub})
 
 
-def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, order: int) -> Trajectory:
-    """dbeta/dt = J^-1 dE/dt integrated from beta0: E rows as params, beta rows as temps."""
-    relevant = limit.family.relevant
-    traj = integrate(lambda beta: limit.beta_velocity(limit.gibbs_point(beta), order), beta0, limit.cfg)
+def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int]) -> Trajectory:
+    """dbeta/dt = J^-1 dE/dt integrated from beta0 at orders[0], or from every row of a stack
+    beta0 (n, M) at its order, the rows advanced together: each RHS is one gibbs_point and
+    the velocity of each of its rows().  The beta rows are the temps; the params, their E,
+    come from one point of all the rows, and if that raises, each row is read alone as the
+    protocol step that made it (step 0 for the start), so the first failure names its step."""
+    cfg, relevant = limit.cfg, limit.family.relevant
+    width = relevant.size * max(orders)  # the slope rows read: [P] at order 1, [P; A] at order 2
+
+    def rhs(beta: np.ndarray) -> np.ndarray:
+        point = limit.gibbs_point(beta)
+        if beta.ndim == 1:  # a lone trajectory: the point is its own row
+            return limit.beta_velocity(point, orders[0])
+        point.slopes(width)  # every row's slopes in one contraction
+        return np.array([limit.beta_velocity(row, order) for row, order in zip(point.rows(), orders)])
+
+    traj = integrate(rhs, beta0, cfg)
     traj.temps = traj.params
-    traj.params = np.array([_GibbsPoint(relevant, beta).E for beta in traj.temps])
+    try:
+        traj.params = _GibbsPoint(relevant, traj.temps).E
+    except (ThermostrobeError, ArithmeticError):
+        for j, beta in enumerate(traj.temps):
+            _as_step(max(j - 1, 0), cfg.dt, _GibbsPoint, relevant, beta)
+        raise
     return traj
+
+
+def _gibbs_walks(limit: ContinuumLimit, starts: list[np.ndarray], orders: list[int]) -> list:
+    """The beta-route trajectory of each start (M,) at its order, or the error its walk
+    raised.  A lone start is walked as itself, several as one stack (_gibbs_walk); a stack
+    that raises is walked again one start at a time, so each keeps its rows or its error."""
+    if len(starts) < 2:
+        return [_attempt(_gibbs_walk, limit, start, orders) for start in starts]
+    try:
+        traj = _gibbs_walk(limit, np.array(starts), orders)
+    except (ThermostrobeError, ArithmeticError):
+        return [_gibbs_walks(limit, [start], [order])[0] for start, order in zip(starts, orders)]
+    return [Trajectory(traj.times, traj.params[:, i].copy(), traj.temps[:, i].copy(), dict(traj.meta))
+            for i in range(len(starts))]
+
+
+def _e_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
+    """A run of a family other than Gibbs: the exact RK4 maps of a linear family's affine
+    velocity (_rk4_walk), else RK4 in E; a zero-step run checks E0 as step 0."""
+    if limit.cfg.n_steps() == 0:
+        _as_step(0, limit.cfg.dt, limit.family.state_of, E0)
+    if limit._linear:
+        return _rk4_walk(limit, E0, order)
+    return integrate(lambda E: limit.velocity(E, order), E0, limit.cfg)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the ThermostrobeError or ArithmeticError it raised."""
+    try:
+        return fn(*args)
+    except (ThermostrobeError, ArithmeticError) as err:
+        return err
+
+
+def _raised(result):
+    """A run's result, raised when it is an error."""
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+ODE_ORDERS = {"ode1": 1, "ode2": 2, "ode-temperature": 2}  # continuum-limit protocols and their orders
+
+
+def run_odes(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, protocols: list[str],
+             beta0: float | None = None, with_temps: bool = False) -> list:
+    """The continuum-limit protocols named in protocols (ODE_ORDERS) on one grid: for each,
+    its trajectory or the error it raised.
+
+    A Gibbs family is integrated in beta, every protocol as one row of one walk
+    (_gibbs_walks): ode1 and ode2 from the one fit of E0, run as protocol step 0 (their
+    first row stays E0, the others are E(beta), and the beta rows are temps only with
+    with_temps), ode-temperature, the second order for a canonical family, from beta0, or
+    from that fit when beta0 is None.  A protocol whose start fails has that error.  Any
+    other family runs each protocol alone (_e_walk)."""
+    if "ode-temperature" in protocols:
+        _require_canonical(family, "the temperature velocity")
+    limit = ContinuumLimit(gen, family, cfg)
+    E0 = None if E0 is None else _as_params(E0, family.size)
+    if not limit._gibbs:
+        results = [_attempt(_e_walk, limit, E0, ODE_ORDERS[proto]) for proto in protocols]
+    else:
+        @cache
+        def fit():  # the one fit of E0, run as protocol step 0: its beta, or its error
+            return _attempt(lambda: _as_step(0, cfg.dt, limit._point, E0).beta)
+
+        results = [np.array([float(beta0)]) if proto == "ode-temperature" and beta0 is not None else fit()
+                   for proto in protocols]
+        walks = [i for i, start in enumerate(results) if not isinstance(start, BaseException)]
+        walked = _gibbs_walks(limit, [results[i] for i in walks], [ODE_ORDERS[protocols[i]] for i in walks])
+        for i, traj in zip(walks, walked):
+            results[i] = traj
+            if protocols[i] != "ode-temperature" and isinstance(traj, Trajectory):
+                traj.params[0] = E0
+                if not with_temps:
+                    traj.temps = None
+    for proto, traj in zip(protocols, results):
+        if isinstance(traj, Trajectory):
+            traj.meta = {"protocol": proto, **traj.meta}
+    return results
 
 
 def run_ode(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, order: int = 2,
             with_temps: bool = False) -> Trajectory:
-    """Integrate the continuum-limit parameter velocity, sampled on the dt grid.
-
-    A Gibbs family is integrated in beta from the one fit of E0, run as protocol
-    step 0 (the first row stays E0, the others are E(beta)); a linear family by the
-    exact RK4 maps of its affine velocity (_rk4_walk); other families in E."""
+    """Integrate the continuum-limit parameter velocity, sampled on the dt grid: run_odes
+    for the one protocol ode1 or ode2, raising its error."""
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
-    limit = ContinuumLimit(gen, family, cfg)
-    E0 = _as_params(E0, family.size)
-    if limit._gibbs:
-        traj = _gibbs_walk(limit, _as_step(0, cfg.dt, limit._point, E0).beta, order)
-        traj.params[0] = E0
-        if not with_temps:
-            traj.temps = None
-    else:
-        if cfg.n_steps() == 0:
-            _as_step(0, cfg.dt, family.state_of, E0)
-        traj = _rk4_walk(limit, E0, order) if limit._linear else \
-            integrate(lambda E: limit.velocity(E, order), E0, cfg)
-    traj.meta = {"protocol": f"ode{order}", **traj.meta}
-    return traj
+    return _raised(run_odes(gen, family, E0, cfg, [f"ode{order}"], with_temps=with_temps)[0])
 
 
 def run_ode_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta0: float,
                         cfg: StrobConfig) -> Trajectory:
     """Integrate the second-order velocity in beta for a canonical Gibbs family,
-    from a given inverse temperature: run_ode's Gibbs route without the fit."""
-    _require_canonical(family, "the temperature velocity")
-    limit = ContinuumLimit(gen, family, cfg)
-    traj = _gibbs_walk(limit, np.array([float(beta0)]), 2)
-    traj.meta = {"protocol": "ode-temperature", **traj.meta}
-    return traj
+    from a given inverse temperature: run_odes for the one protocol ode-temperature."""
+    return _raised(run_odes(gen, family, None, cfg, ["ode-temperature"], beta0)[0])
 
 
 # ---------------------------------------------------------------------------

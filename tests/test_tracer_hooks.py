@@ -61,7 +61,7 @@ def test_tracer_hooks_resolve_and_see_one_eigh_per_rhs(tmp_path, tracer_module):
     assert np.linalg.eigh is eigh
     spans = t.take()
     rhs = [i for i, s in enumerate(spans) if s[0] == "strob.rhs"]
-    assert len(rhs) == 2 * 2 * 10 * 4  # ode1 and ode2, 2 intervals of 10 RK4 steps, 4 stages
+    assert len(rhs) == 2 * 10 * 4  # ode1 and ode2 walked together: 2 intervals of 10 RK4 steps, 4 stages
 
     def rhs_of(i):
         while i >= 0 and spans[i][0] != "strob.rhs":

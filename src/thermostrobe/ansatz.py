@@ -154,10 +154,10 @@ def _as_relevant(observables) -> RelevantSet:
 
 
 def _as_params(E, size: int) -> np.ndarray:
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    if E.shape != (size,):
-        raise ValidationError(f"parameter vector has shape {E.shape}, expected ({size},)")
-    return E
+    x = np.atleast_1d(E)
+    if x.dtype.kind not in "biuf" or x.shape != (size,):  # None and text are not numbers
+        raise ValidationError(f"parameter vector must be {size} real numbers, got {E!r}")
+    return x.astype(float, copy=False)
 
 
 def _rotate(U: np.ndarray, S: np.ndarray) -> np.ndarray:

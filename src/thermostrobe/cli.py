@@ -60,7 +60,6 @@ from .strob import (
     StrobConfig,
     Trajectory,
     _as_step,
-    _raised,
     _velocity,
     invariant_subspace_matrix,
     run_discrete,
@@ -410,13 +409,28 @@ def run_protocol(proto: str, model: ModelBundle, family: AnsatzFamily, cfg: Stro
     if proto == "discrete":
         return run_discrete(model.generator, family, E0, cfg, with_temps=emit_beta)
     if proto in ODE_ORDERS:
-        return _raised(run_odes(model.generator, family, E0, cfg, [proto], beta_probe, emit_beta)[0])
+        return run_odes(model.generator, family, E0, cfg, [proto], beta_probe, emit_beta)[0]
     times = np.arange(cfg.n_steps() + 1) * cfg.dt  # closed-form
     params = qubit_E_closed_form(times, float(E0[0]), model.qubit).reshape(-1, 1)
     temps = None
     if emit_beta:
         temps = np.array([[qubit_beta_closed_form(E, model.qubit.omega0)] for E in params[:, 0]])
     return Trajectory(times, params, temps, meta={"protocol": "closed-form"})
+
+
+def run_protocols(protocols, model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig,
+                  E0: np.ndarray, beta_probe: float | None, emit_beta: bool):
+    """The trajectory of each protocol, in listed order.  The continuum-limit ones
+    are walked together up front (run_odes); if that walk raises, it is dropped and every
+    protocol runs alone in order (run_protocol), so the first failure raises as a lone run's."""
+    odes = [proto for proto in protocols if proto in ODE_ORDERS]
+    try:
+        walked = dict(zip(odes, run_odes(model.generator, family, E0, cfg, odes, beta_probe, emit_beta)))
+    except (ThermostrobeError, ArithmeticError):
+        walked = {}
+    for proto in protocols:
+        yield walked[proto] if proto in walked else \
+            run_protocol(proto, model, family, cfg, E0, beta_probe, emit_beta)
 
 
 def write_csv(path: str, traj: Trajectory) -> None:
@@ -502,11 +516,8 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
     }
     diagnostics: dict = {}
     trajectories: dict[str, Trajectory] = {}
-    odes = [proto for proto in protocols if proto in ODE_ORDERS]  # walked together, raised in turn
-    walked = dict(zip(odes, run_odes(model.generator, family, E0, cfg, odes, beta_probe, emit_beta)))
-    for proto in protocols:
-        traj = _raised(walked[proto]) if proto in walked else \
-            run_protocol(proto, model, family, cfg, E0, beta_probe, emit_beta)
+    runs = run_protocols(protocols, model, family, cfg, E0, beta_probe, emit_beta)
+    for proto, traj in zip(protocols, runs):
         trajectories[proto] = traj
         fname = f"{name}_{proto}.csv"
         write_csv(os.path.join(out_dir, fname), traj)
@@ -531,8 +542,7 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
 
 
 def _compare_point(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig, E0) -> dict:
-    disc = run_discrete(model.generator, family, E0, cfg)
-    ode1, ode2 = map(_raised, run_odes(model.generator, family, E0, cfg, ["ode1", "ode2"]))
+    disc, ode1, ode2 = run_protocols(("discrete", "ode1", "ode2"), model, family, cfg, E0, None, False)
     return {
         "alpha": cfg.alpha, "trajectories": (disc, ode1, ode2),
         "deviation_ode1": _grid_deviation(disc, ode1),

@@ -4,8 +4,9 @@ Every Gibbs ODE trajectory on one grid (simulate's ode1, ode2 and
 ode-temperature, a compare rung's ode1 and ode2) advances as one row of one
 stack: each RK4 stage is one Gibbs point of the whole stack, with one batched
 eigh for a family whose observables do not commute.  A row must carry the
-bits of the same trajectory walked alone, and a trajectory that fails must
-fail with its own error at its own step while the others keep their rows.
+bits of the same trajectory walked alone.  A stack that fails raises; the
+command line then walks each trajectory alone in listed order, so each
+reports its own error at its own step, as a lone run does.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ from thermostrobe import (
     MultilevelParams,
     QubitParams,
     StrobConfig,
+    ThermostrobeError,
     Trajectory,
     multilevel_energy_observable,
     multilevel_generator,
@@ -117,19 +119,22 @@ def decay_family():
     (0.5 * SIGMA_Z + 0.5 * SIGMA_X, 5.0, 2.0, 0.2, [0.2, 0.3], (15, None)),
 ], ids=["both-fail", "ode1-fails"])
 def test_a_failing_trajectory_keeps_its_own_error(hamiltonian, rate, lam, dt, E0, steps):
-    """ode1 and ode2 walk as one stack, which raises; each is then walked alone."""
+    """ode1 and ode2 walked as one stack raise the first failure; walked alone, each keeps
+    its own error at its own step, and one that does not fail keeps its rows."""
     gen = GkslGenerator(hamiltonian, ((SIGMA_MINUS, rate),))
     cfg = StrobConfig(lam=lam, dt=dt, horizon=(max(s or 0 for s in steps) + 5) * dt)
-    stacked = run_odes(gen, decay_family(), E0, cfg, ["ode1", "ode2"], with_temps=True)
-    for proto, step, got in zip(("ode1", "ode2"), steps, stacked):
-        alone = run_odes(gen, decay_family(), E0, cfg, [proto], with_temps=True)[0]
+    with pytest.raises(ThermostrobeError) as stacked:
+        run_odes(gen, decay_family(), E0, cfg, ["ode1", "ode2"], with_temps=True)
+    errors = []
+    for proto, step in zip(("ode1", "ode2"), steps):
         if step is None:
-            assert isinstance(got, Trajectory) and isinstance(alone, Trajectory)
-            assert np.array_equal(got.params, alone.params) and np.array_equal(got.temps, alone.temps)
-        else:
-            assert type(got) is type(alone)
-            assert str(got) == str(alone)
-            assert str(got).startswith(f"protocol step {step} ")
+            alone, = run_odes(gen, decay_family(), E0, cfg, [proto], with_temps=True)
+            assert isinstance(alone, Trajectory) and len(alone) == cfg.n_steps() + 1
+            continue
+        with pytest.raises(ThermostrobeError, match=rf"^protocol step {step} ") as alone:
+            run_odes(gen, decay_family(), E0, cfg, [proto], with_temps=True)
+        errors.append(alone.value)
+    assert type(stacked.value) is type(errors[0]) and str(stacked.value) == str(errors[0])
 
 
 @pytest.fixture
@@ -219,6 +224,8 @@ QUBIT_STRONG = {
 # exit code, stderr and files of the runs that walked every trajectory alone
 DECAY_ERROR = ("error: protocol step 50 (t = 5): Gibbs response matrix is numerically singular "
                "(|eigenvalues| from 6.287e-14 to 6.292e-02) at beta = [ 1.58929027e+01 -1.85564830e-06]\n")
+DECAY_ODE2_ERROR = ("error: protocol step 51 (t = 5.1): Gibbs response matrix is numerically singular "
+                    "(|eigenvalues| from 6.194e-14 to 6.289e-02) at beta = [ 1.59007728e+01 -1.66517844e-07]\n")
 STRONG_ERROR = ("error: protocol step 0 (t = 0): Gibbs response matrix is numerically singular "
                 "(|eigenvalues| from 0.000e+00 to 0.000e+00) at beta = [-110.54776557]\n")
 
@@ -231,3 +238,10 @@ STRONG_ERROR = ("error: protocol step 0 (t = 0): Gibbs response matrix is numeri
 ], ids=["decay-simulate", "decay-compare", "strong-simulate", "strong-compare"])
 def test_cli_failures_of_a_stacked_walk_are_those_of_lone_walks(tmp_path, command, scenario, expected):
     assert run_cli(tmp_path, command, scenario) == expected
+
+
+@pytest.mark.parametrize("protocols", [["ode2", "discrete", "ode1"], ["ode2", "ode1"]],
+                         ids=["ode2-discrete-ode1", "ode2-ode1"])
+def test_cli_reports_the_first_failure_in_listed_order(tmp_path, protocols):
+    """ode2 is listed first, so its own step-51 error is reported, not ode1's earlier one."""
+    assert run_cli(tmp_path, "simulate", {**DECAY, "protocols": protocols}) == (3, DECAY_ODE2_ERROR, [])

@@ -41,6 +41,7 @@ from thermostrobe import (
     run_discrete,
     run_ode,
     run_ode_temperature,
+    run_odes,
 )
 from thermostrobe.cli import _scenario_context, estimate_tau, load_scenario
 from tutil import random_generator
@@ -372,6 +373,26 @@ def test_run_ode_metadata_and_grid():
         run_ode(gen, fam, [0.5], cfg, order=3)
 
 
+@pytest.mark.parametrize("order", [2.0, True, 3, "2", None], ids=["2.0", "True", "3", "str", "None"])
+def test_run_ode_refuses_an_order_other_than_the_ints_1_and_2(order):
+    gen, cfg = qubit_generator(DRIVEN), StrobConfig(dt=0.1, horizon=0.2)
+    with pytest.raises(ValidationError, match="^order must be the integer 1 or 2"):
+        run_ode(gen, qubit_family(), [0.5], cfg, order=order)
+    numpy_int = run_ode(gen, qubit_family(), [0.5], cfg, order=np.int64(2))
+    assert np.array_equal(numpy_int.params, run_ode(gen, qubit_family(), [0.5], cfg).params)
+
+
+@pytest.mark.parametrize("proto", ["ode3", "discrete"])
+@pytest.mark.parametrize("kind", ["gibbs", "pinching"])
+def test_run_odes_refuses_a_protocol_outside_ode_orders_before_any_work(kind, proto):
+    fam = qubit_family() if kind == "gibbs" else PinchingAnsatz(qubit_energy_observable(STANDARD))
+    # an infinite E0 raises DomainError at step 0 of any run, so the check must come first
+    with pytest.raises(ValidationError, match=rf"^'{proto}' is not a continuum-limit protocol; "
+                                              r"choose from \('ode1', 'ode2', 'ode-temperature'\)$"):
+        run_odes(qubit_generator(STANDARD), fam, [np.inf], StrobConfig(dt=0.1, horizon=0.2),
+                 ["ode1", proto])
+
+
 def test_run_ode_orders_differ_under_drive():
     gen = qubit_generator(DRIVEN)
     fam = qubit_family()
@@ -413,6 +434,20 @@ def test_run_ode_temperature_contract():
     fam = PinchingAnsatz(qubit_energy_observable(STANDARD))
     with pytest.raises(ContractError):
         run_ode_temperature(gen, fam, 1.0, cfg)
+
+
+@pytest.mark.parametrize("beta0", [np.array([0.5]), [0.5]], ids=["array", "list"])
+def test_run_ode_temperature_reads_a_one_entry_beta0_as_its_number(beta0):
+    gen, cfg = qubit_generator(DRIVEN), StrobConfig(dt=0.1, horizon=0.3)
+    got, want = (run_ode_temperature(gen, qubit_family(), b, cfg) for b in (beta0, 0.5))
+    assert np.array_equal(got.params, want.params) and np.array_equal(got.temps, want.temps)
+
+
+@pytest.mark.parametrize("beta0", ["x", None, [0.5, 0.2]], ids=["text", "None", "two-entries"])
+def test_run_ode_temperature_refuses_a_beta0_that_is_not_one_number(beta0):
+    with pytest.raises(ValidationError, match="^parameter vector"):
+        run_ode_temperature(qubit_generator(STANDARD), qubit_family(), beta0,
+                            StrobConfig(dt=0.1, horizon=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,11 @@ def _as_relevant(observables) -> RelevantSet:
 
 
 def _as_params(E, size: int) -> np.ndarray:
-    x = np.atleast_1d(E)
-    if x.dtype.kind not in "biuf" or x.shape != (size,):  # None and text are not numbers
+    try:
+        x = np.atleast_1d(E)
+    except ValueError:  # a ragged nesting has no array shape
+        x = None
+    if x is None or x.dtype.kind not in "biuf" or x.shape != (size,):  # None and text are not numbers
         raise ValidationError(f"parameter vector must be {size} real numbers, got {E!r}")
     return x.astype(float, copy=False)
 

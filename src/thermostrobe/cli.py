@@ -634,13 +634,14 @@ def cmd_analyze_invariance(scenario: dict, out_dir: str) -> int:
     if scenario["initial"] != {}:  # the initial point is optional here: it adds the bracket
         E0, _ = build_initial(scenario["initial"], family)
         a, b, W = ContinuumLimit(model.generator, family, cfg).moments(E0)
-        report["bracket_norm"] = float(np.max(np.abs(b - W @ a)))
+        Wa = W @ a
+        report["bracket_norm"] = float(np.max(np.abs(b - Wa)))
         if result.invariant:
             # closure predicts the velocity affinely: a_m = L[m+1, 0] + sum_j L[m+1, j+1] E_j
             predicted = result.matrix[1:, 0] + result.matrix[1:, 1:] @ E0
             diagnostics["closure_velocity_deviation"] = float(np.max(np.abs(predicted - a)))
             diagnostics["rhs_drop_ode1_vs_ode2"] = float(np.max(np.abs(
-                _velocity(cfg, 2, a, b, W) - _velocity(cfg, 1, a, b, W))))
+                _velocity(cfg, 2, a, b, Wa) - _velocity(cfg, 1, a, b, None))))
     report["diagnostics"] = diagnostics
     _dump_json(os.path.join(out_dir, f"{name}_invariance.json"), report)
     return 0

@@ -29,6 +29,7 @@ import numpy as np
 from .ansatz import (
     AnsatzFamily,
     GibbsAnsatz,
+    JACOBIAN_RCOND,
     _as_params,
     _as_relevant,
     _GibbsPoint,
@@ -357,16 +358,20 @@ class ContinuumLimit:
 
     def velocity(self, E, order: int) -> np.ndarray:
         """dE/dt at E: lam <A> for order 1, with the finite-reset correction for order 2."""
-        return _velocity(self.cfg, order, *self.moments(E, gradient=order == 2))
+        a, b, W = self.moments(E, gradient=order == 2)
+        return _velocity(self.cfg, order, a, b, W @ a if order == 2 else None)
 
     def beta_velocity(self, point: _GibbsPoint, order: int) -> np.ndarray:
         """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1
-        (G is contracted first, so J is read from the same contraction)."""
+        (G is contracted first, so J is read from the same contraction).  This per-point numpy
+        form is the reference: a canonical walk reads the same numbers as Python floats
+        (_canonical_beta_velocity) and comes back here for any row it cannot clear."""
         M = len(point.E)
+        a = point.means[M:2 * M]
         G = point.slopes(2 * M)[M:] if order == 2 else None
         J_inv = point.response_inverse()
-        W = G @ J_inv if order == 2 else None
-        return J_inv @ _velocity(self.cfg, order, point.means[M:2 * M], point.means[2 * M:], W)
+        Wa = G @ J_inv @ a if order == 2 else None
+        return J_inv @ _velocity(self.cfg, order, a, point.means[2 * M:], Wa)
 
 
 def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -374,9 +379,38 @@ def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return np.array([(f(x + bump) - f(x - bump)) / (2.0 * h) for bump in h * np.eye(len(x))]).T
 
 
-def _velocity(cfg: StrobConfig, order: int, a: np.ndarray, b: np.ndarray, W) -> np.ndarray:
-    """lam <A>, with the finite-reset correction (alpha/2)(<B> - W <A>) for order 2."""
-    return cfg.lam * a if order == 1 else cfg.lam * a + 0.5 * cfg.alpha * (b - W @ a)
+def _velocity(cfg: StrobConfig, order: int, a, b, Wa):
+    """lam <A>, with the finite-reset correction (alpha/2)(<B> - W <A>) for order 2, given the
+    product Wa = W <A> (None at order 1): on numpy arrays, or on the Python floats of one
+    canonical row, whose every operation is the IEEE operation the 1 x 1 arrays would make."""
+    return cfg.lam * a if order == 1 else cfg.lam * a + 0.5 * cfg.alpha * (b - Wa)
+
+
+def _canonical_beta_velocity(cfg: StrobConfig, point: _GibbsPoint, orders: list[int]) -> np.ndarray | None:
+    """beta_velocity of a canonical (M = 1) gibbs_point, lone (1,) or stacked (n, 1) with row i
+    at orders[i], in Python floats: J, G, <A> and <B> are read with one tolist() per array,
+    and J^-1 = 1/J, W <A> and dbeta = J^-1 dE/dt are formed as beta_velocity forms them.
+
+    A 1 x 1 product in numpy is one IEEE operation, and a matmul adds it to 0, so each
+    float operation below (0.0 + x for a matmul) gives beta_velocity's bits.  That holds for
+    M = 1 only: a longer matmul sums its products in an order, or fused, as BLAS chooses.
+    None when a row fails the JACOBIAN_RCOND check or its dbeta is not finite, so that the
+    caller evaluates the RHS through beta_velocity, which raises or warns as it does."""
+    slopes, means = point.slopes(max(orders)).tolist(), point.means.tolist()
+    if point.beta.ndim == 1:
+        slopes, means = [slopes], [means]
+    dbeta = []
+    for ((J,), *G), (_, a, b), order in zip(slopes, means, orders):
+        J = 0.5 * (J + J)  # the jacobian, symmetrized
+        if not abs(J) > JACOBIAN_RCOND * abs(J):
+            return None
+        J_inv = 1.0 / J
+        Wa = 0.0 + (0.0 + G[0][0] * J_inv) * a if order == 2 else None
+        row = 0.0 + J_inv * _velocity(cfg, order, a, b, Wa)
+        if not isfinite(row):
+            return None
+        dbeta.append(row)
+    return np.array(dbeta).reshape(point.beta.shape)
 
 
 def _require_canonical(family: AnsatzFamily, what: str) -> None:
@@ -447,7 +481,7 @@ def _rk4_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
     _check_cap(n * n_sub)
     M = len(E0)
     a, b = np.split(limit._columns.real, 2)  # moments (<A>, <B>) of x = (E, 1)
-    aug = np.vstack([_velocity(cfg, order, a, b, a[:, :M]), np.zeros(M + 1)])
+    aug = np.vstack([_velocity(cfg, order, a, b, a[:, :M] @ a), np.zeros(M + 1)])
     maps = []  # the stage maps P_1..P_4, as rk4_step evaluates the velocity at them
 
     def stage(X: np.ndarray) -> np.ndarray:
@@ -474,17 +508,25 @@ def _rk4_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
 def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int]) -> Trajectory:
     """dbeta/dt = J^-1 dE/dt integrated from beta0 at orders[0], or from every row of a stack
     beta0 (n, M) at its order, the rows advanced together: each RHS is one gibbs_point and
-    the velocity of each of its rows().  The beta rows are the temps; the params, their E,
-    come from one point of all the rows, and if that raises, each row is read alone as the
-    protocol step that made it (step 0 for the start), so the first failure names its step."""
+    the velocity of each of its rows().  For a canonical family (M = 1) that velocity is formed
+    in Python floats from the point's arrays (_canonical_beta_velocity), with the bits of the
+    numpy beta_velocity, which still takes any RHS with a row the floats cannot clear; for
+    M >= 2 a float form would not sum as BLAS does, so each row is read through numpy.  The
+    beta rows are the temps; the params, their E, come from one point of all the rows, and if
+    that raises, each row is read alone as the protocol step that made it (step 0 for the
+    start), so the first failure names its step."""
     cfg, relevant = limit.cfg, limit.family.relevant
     width = relevant.size * max(orders)  # the slope rows read: [P] at order 1, [P; A] at order 2
 
     def rhs(beta: np.ndarray) -> np.ndarray:
         point = limit.gibbs_point(beta)
-        if beta.ndim == 1:  # a lone trajectory: ~20 % less per RHS than as a one-row stack
-            return limit.beta_velocity(point, orders[0])
         point.slopes(width)  # every row's slopes in one contraction
+        if relevant.size == 1:
+            dbeta = _canonical_beta_velocity(cfg, point, orders)
+            if dbeta is not None:
+                return dbeta
+        if beta.ndim == 1:  # a lone trajectory: ~11 % less per M = 2 RHS than as a one-row stack
+            return limit.beta_velocity(point, orders[0])
         return np.array([limit.beta_velocity(row, order) for row, order in zip(point.rows(), orders)])
 
     traj = integrate(rhs, beta0, cfg)

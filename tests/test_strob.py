@@ -443,7 +443,8 @@ def test_run_ode_temperature_reads_a_one_entry_beta0_as_its_number(beta0):
     assert np.array_equal(got.params, want.params) and np.array_equal(got.temps, want.temps)
 
 
-@pytest.mark.parametrize("beta0", ["x", None, [0.5, 0.2]], ids=["text", "None", "two-entries"])
+@pytest.mark.parametrize("beta0", ["x", None, [0.5, 0.2], [[1.0], [2.0, 3.0]], [1.0, [2.0]]],
+                         ids=["text", "None", "two-entries", "ragged-rows", "ragged-entry"])
 def test_run_ode_temperature_refuses_a_beta0_that_is_not_one_number(beta0):
     with pytest.raises(ValidationError, match="^parameter vector"):
         run_ode_temperature(qubit_generator(STANDARD), qubit_family(), beta0,

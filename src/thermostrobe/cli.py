@@ -541,39 +541,38 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
     return 0
 
 
-def _compare_point(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig, E0) -> dict:
-    disc, ode1, ode2 = run_protocols(("discrete", "ode1", "ode2"), model, family, cfg, E0, None, False)
-    return {
-        "alpha": cfg.alpha, "trajectories": (disc, ode1, ode2),
-        "deviation_ode1": _grid_deviation(disc, ode1),
-        "deviation_ode2": _grid_deviation(disc, ode2),
-        "deviation_ode1_vs_ode2": _grid_deviation(ode1, ode2),
-    }
-
-
 def cmd_compare(scenario: dict, out_dir: str) -> int:
     name = scenario["name"]
     dts = read(COMPARE, scenario["compare"], "compare")["dts"]
     if len(dts) < 2:
         raise ConfigError("compare.dts must list at least two dt values")
-    rungs = []  # every rung is configured before any runs, so a bad one fails up front
-    for dt in dts:
-        model, family, cfg, _ = _scenario_context(scenario, dt)
-        rungs.append((model, family, cfg, build_initial(scenario["initial"], family)[0]))
-    points = [_compare_point(*rung) for rung in rungs]
+    # every rung is configured before any runs, so a bad one fails up front; the model (dt
+    # reaches no generator), the family and E0 are the first rung's for every rung
+    model, family, cfg, _ = _scenario_context(scenario, dts[0])
+    E0 = build_initial(scenario["initial"], family)[0]
+    cfgs = [cfg] + [build_config(scenario["strob"], dt) for dt in dts[1:]]
+    try:  # every rung's ode1 and ode2 as rows of one walk, each on its rung's grid
+        odes = run_odes(model.generator, family, E0, [cfg for cfg in cfgs for _ in ("ode1", "ode2")],
+                        ["ode1", "ode2"] * len(cfgs))
+    except (ThermostrobeError, ArithmeticError):  # dropped: the first failure raises as a lone rung's
+        rungs = [tuple(run_protocols(("discrete", "ode1", "ode2"), model, family, cfg, E0, None, False))
+                 for cfg in cfgs]
+    else:
+        rungs = [(run_discrete(model.generator, family, E0, cfg), *odes[2 * i:2 * i + 2])
+                 for i, cfg in enumerate(cfgs)]
 
     report: dict = {"name": name, "dts": dts, "model": scenario["model"]["kind"],
-                    "ansatz": scenario["ansatz"]["kind"]}
-    for key in ("alpha", "deviation_ode1", "deviation_ode2", "deviation_ode1_vs_ode2"):
-        report[key] = [pt[key] for pt in points]
-    dev1, dev2 = report["deviation_ode1"], report["deviation_ode2"]
+                    "ansatz": scenario["ansatz"]["kind"], "alpha": [cfg.alpha for cfg in cfgs]}
+    report["deviation_ode1"] = dev1 = [_grid_deviation(disc, ode1) for disc, ode1, _ in rungs]
+    report["deviation_ode2"] = dev2 = [_grid_deviation(disc, ode2) for disc, _, ode2 in rungs]
+    report["deviation_ode1_vs_ode2"] = [_grid_deviation(ode1, ode2) for _, ode1, ode2 in rungs]
     ratios = [a / b if b > 0.0 else None for a, b in zip(dev2, dev2[1:])]
     report["ratio_ode2"] = ratios
     report["order_ode2"] = [None if r is None or r <= 0.0 else float(np.log2(r)) for r in ratios]
     ode2_closer = all(b < a for a, b in zip(dev1, dev2))
     report["ode2_closer"] = ode2_closer
-    for i, pt in enumerate(points, start=1):
-        for proto, traj in zip(("discrete", "ode1", "ode2"), pt["trajectories"]):
+    for i, rung in enumerate(rungs, start=1):
+        for proto, traj in zip(("discrete", "ode1", "ode2"), rung):
             fname = f"{name}_dt{i}_{proto}.csv"
             write_csv(os.path.join(out_dir, fname), traj)
             report[f"files_dt{i}_{proto}"] = fname

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, isfinite
+from math import ceil, gcd, isfinite
 
 import numpy as np
 
@@ -134,12 +134,12 @@ def _check_cap(steps: float) -> None:
         raise CapacityError(f"run needs {steps:.6g} steps, above the cap {STEP_CAP_DEFAULT}")
 
 
-def _walk(x0: np.ndarray, n: int, interval: float, advance, substeps: int = 1, first: int = 0):
+def _walk(x0: np.ndarray, n: int, interval: float, advance, first: int = 0):
     """Times and rows of x0 advanced over n intervals, numbered from first, one advance
     call each, run as its protocol step (_as_step); a run of more than STEP_CAP_DEFAULT
-    steps in all is refused.
+    steps is refused.
     """
-    _check_cap(n * substeps)
+    _check_cap(n)
     rows = [x0]
     for k in range(first, first + n):
         rows.append(_as_step(k, interval, advance, rows[-1]))
@@ -361,17 +361,18 @@ class ContinuumLimit:
         a, b, W = self.moments(E, gradient=order == 2)
         return _velocity(self.cfg, order, a, b, W @ a if order == 2 else None)
 
-    def beta_velocity(self, point: _GibbsPoint, order: int) -> np.ndarray:
+    def beta_velocity(self, point: _GibbsPoint, order: int, cfg: StrobConfig | None = None) -> np.ndarray:
         """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1
-        (G is contracted first, so J is read from the same contraction).  This per-point numpy
-        form is the reference: a canonical walk reads the same numbers as Python floats
+        (G is contracted first, so J is read from the same contraction), at the scales of cfg
+        (a walked row's own, by default the limit's).  This per-point numpy form is the
+        reference: a canonical walk reads the same numbers as Python floats
         (_canonical_beta_velocity) and comes back here for any row it cannot clear."""
         M = len(point.E)
         a = point.means[M:2 * M]
         G = point.slopes(2 * M)[M:] if order == 2 else None
         J_inv = point.response_inverse()
         Wa = G @ J_inv @ a if order == 2 else None
-        return J_inv @ _velocity(self.cfg, order, a, point.means[2 * M:], Wa)
+        return J_inv @ _velocity(cfg or self.cfg, order, a, point.means[2 * M:], Wa)
 
 
 def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -386,10 +387,12 @@ def _velocity(cfg: StrobConfig, order: int, a, b, Wa):
     return cfg.lam * a if order == 1 else cfg.lam * a + 0.5 * cfg.alpha * (b - Wa)
 
 
-def _canonical_beta_velocity(cfg: StrobConfig, point: _GibbsPoint, orders: list[int]) -> np.ndarray | None:
+def _canonical_beta_velocity(cfgs: list[StrobConfig], point: _GibbsPoint,
+                              orders: list[int]) -> np.ndarray | None:
     """beta_velocity of a canonical (M = 1) gibbs_point, lone (1,) or stacked (n, 1) with row i
-    at orders[i], in Python floats: J, G, <A> and <B> are read with one tolist() per array,
-    and J^-1 = 1/J, W <A> and dbeta = J^-1 dE/dt are formed as beta_velocity forms them.
+    at orders[i] and the scales of cfgs[i], in Python floats: J, G, <A> and <B> are read with
+    one tolist() per array, and J^-1 = 1/J, W <A> and dbeta = J^-1 dE/dt are formed as
+    beta_velocity forms them.
 
     A 1 x 1 product in numpy is one IEEE operation, and a matmul adds it to 0, so each
     float operation below (0.0 + x for a matmul) gives beta_velocity's bits.  That holds for
@@ -400,7 +403,7 @@ def _canonical_beta_velocity(cfg: StrobConfig, point: _GibbsPoint, orders: list[
     if point.beta.ndim == 1:
         slopes, means = [slopes], [means]
     dbeta = []
-    for ((J,), *G), (_, a, b), order in zip(slopes, means, orders):
+    for ((J,), *G), (_, a, b), cfg, order in zip(slopes, means, cfgs, orders):
         J = 0.5 * (J + J)  # the jacobian, symmetrized
         if not abs(J) > JACOBIAN_RCOND * abs(J):
             return None
@@ -454,15 +457,53 @@ def integrate(rhs, x0, cfg: StrobConfig) -> Trajectory:
     grid with dt / ode_step steps per interval; rhs maps an array to an array
     of its shape, so x0 may be one state (M,) or a stack of them (n, M), whose
     rows every stage advances together; the rows come back as (T, n, M)."""
-    n_sub, h = cfg.substeps, cfg.dt / cfg.substeps
+    (_, traj), = _rk4_rows(np.atleast_1d(np.asarray(x0, dtype=float)), [cfg], lambda live: rhs)
+    return traj
 
-    def advance(x: np.ndarray) -> np.ndarray:
-        for _ in range(n_sub):
-            x = rk4_step(rhs, x, h)
-        return x
 
-    times, rows = _walk(np.atleast_1d(np.asarray(x0, dtype=float)), cfg.n_steps(), cfg.dt, advance, n_sub)
-    return Trajectory(times, rows, meta={"ode_step": h, "substeps": n_sub})
+def _rk4_rows(x0: np.ndarray, cfgs: list[StrobConfig], rhs_of) -> list[tuple[list[int], Trajectory]]:
+    """RK4 of one state x0 on the grid cfgs[0], or of each row i of a stack x0 (n, M) on its own
+    grid cfgs[i], the rows still running advanced together: every stage is one call of
+    rhs_of(live) on the stack of the rows live.  A row takes substeps steps of h = dt / substeps
+    per dt interval (h a column when the live rows' steps differ), is sampled at the end of
+    each, and leaves the stack at its horizon; the stack changes only then.  The rows step in
+    chunks of the gcd of their substeps, each run as the protocol step of the first live row
+    (_as_step); a row of more than STEP_CAP_DEFAULT steps is refused before any.
+
+    Returns (rows, trajectory) for each set of rows on one grid, in the order of their first
+    row: the trajectory's params are (T, *x0.shape) for one state, else (T, len(rows), M)."""
+    steps = [cfg.n_steps() * cfg.substeps for cfg in cfgs]
+    for count in steps:
+        _check_cap(count)
+    chunk = gcd(*(cfg.substeps for cfg in cfgs))
+    x, live, done = x0, list(range(len(cfgs))), 0
+    ends = [(done, x, live)]  # every chunk end: the steps done, the stack, its rows
+    while live:
+        rhs, head = rhs_of(live), cfgs[live[0]]
+        hs = [cfgs[i].dt / cfgs[i].substeps for i in live]
+        h = hs[0] if len(set(hs)) == 1 else np.array(hs)[:, None]
+
+        def advance(x: np.ndarray) -> np.ndarray:
+            for _ in range(chunk):
+                x = rk4_step(rhs, x, h)
+            return x
+
+        for _ in range(done, min(steps[i] for i in live), chunk):
+            x = _as_step(done // head.substeps, head.dt, advance, x)
+            done += chunk
+            ends.append((done, x, live))
+        kept = [j for j, i in enumerate(live) if steps[i] > done]
+        x, live = x[kept], [live[j] for j in kept]
+    grids: dict[tuple, list[int]] = {}  # rows sampled at the same ends, at the same times
+    for i, cfg in enumerate(cfgs):
+        grids.setdefault((cfg.dt, cfg.substeps, steps[i]), []).append(i)
+    out = []
+    for (dt, substeps, total), rows in grids.items():  # x whole while it holds just these rows (one state)
+        samples = np.array([x if live == rows else x[[live.index(i) for i in rows]]
+                            for done, x, live in ends if done % substeps == 0 and done <= total])
+        out.append((rows, Trajectory(np.arange(len(samples)) * dt, samples,
+                                     meta={"ode_step": dt / substeps, "substeps": substeps})))
+    return out
 
 
 def _rk4_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
@@ -505,39 +546,52 @@ def _rk4_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
     return Trajectory(np.arange(n + 1) * cfg.dt, rows[:, :M], meta={"ode_step": h, "substeps": n_sub})
 
 
-def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int]) -> Trajectory:
-    """dbeta/dt = J^-1 dE/dt integrated from beta0 at orders[0], or from every row of a stack
-    beta0 (n, M) at its order, the rows advanced together: each RHS is one gibbs_point and
-    the velocity of each of its rows().  For a canonical family (M = 1) that velocity is formed
-    in Python floats from the point's arrays (_canonical_beta_velocity), with the bits of the
-    numpy beta_velocity, which still takes any RHS with a row the floats cannot clear; for
-    M >= 2 a float form would not sum as BLAS does, so each row is read through numpy.  The
-    beta rows are the temps; the params, their E, come from one point of all the rows, and if
-    that raises, each row is read alone as the protocol step that made it (step 0 for the
-    start), so the first failure names its step."""
-    cfg, relevant = limit.cfg, limit.family.relevant
-    width = relevant.size * max(orders)  # the slope rows read: [P] at order 1, [P; A] at order 2
+def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int],
+                cfgs: list[StrobConfig]) -> list[Trajectory]:
+    """dbeta/dt = J^-1 dE/dt integrated from beta0 at orders[0] on the grid of cfgs[0], or from
+    every row i of a stack beta0 (n, M) at orders[i] on the grid and at the scales of cfgs[i],
+    the rows advanced together (_rk4_rows): each RHS is one gibbs_point of the live rows and
+    the velocity of each of its rows().  For a canonical family (M = 1) that velocity is
+    formed in Python floats from the point's arrays (_canonical_beta_velocity), with the bits
+    of the numpy beta_velocity, which still takes any RHS with a row the floats cannot clear;
+    for M >= 2 a float form would not sum as BLAS does, so each row is read through numpy.
+    One trajectory per row: the beta rows are the temps; the params, their E, come from one
+    point of all the rows on one grid, and if that raises, each time row is read alone as the
+    protocol step that made it (step 0 for the start), so the first failure names its step."""
+    relevant = limit.family.relevant
 
-    def rhs(beta: np.ndarray) -> np.ndarray:
-        point = limit.gibbs_point(beta)
-        point.slopes(width)  # every row's slopes in one contraction
-        if relevant.size == 1:
-            dbeta = _canonical_beta_velocity(cfg, point, orders)
-            if dbeta is not None:
-                return dbeta
-        if beta.ndim == 1:  # a lone trajectory: ~11 % less per M = 2 RHS than as a one-row stack
-            return limit.beta_velocity(point, orders[0])
-        return np.array([limit.beta_velocity(row, order) for row, order in zip(point.rows(), orders)])
+    def rhs_of(live: list[int]):
+        row_cfgs, row_orders = [cfgs[i] for i in live], [orders[i] for i in live]
+        width = relevant.size * max(row_orders)  # the slope rows read: [P] at order 1, [P; A] at order 2
 
-    traj = integrate(rhs, beta0, cfg)
-    traj.temps = traj.params
-    try:
-        traj.params = _GibbsPoint(relevant, traj.temps).E
-    except (ThermostrobeError, ArithmeticError):
-        for j, beta in enumerate(traj.temps):
-            _as_step(max(j - 1, 0), cfg.dt, _GibbsPoint, relevant, beta)
-        raise
-    return traj
+        def rhs(beta: np.ndarray) -> np.ndarray:
+            point = limit.gibbs_point(beta)
+            point.slopes(width)  # every row's slopes in one contraction
+            if relevant.size == 1:
+                dbeta = _canonical_beta_velocity(row_cfgs, point, row_orders)
+                if dbeta is not None:
+                    return dbeta
+            if beta.ndim == 1:  # a lone trajectory: ~11 % less per M = 2 RHS than as a one-row stack
+                return limit.beta_velocity(point, row_orders[0], row_cfgs[0])
+            return np.array([limit.beta_velocity(row, order, cfg)
+                             for row, order, cfg in zip(point.rows(), row_orders, row_cfgs)])
+        return rhs
+
+    trajs = [None] * len(orders)
+    for rows, traj in _rk4_rows(beta0, cfgs, rhs_of):
+        traj.temps = traj.params
+        try:
+            traj.params = _GibbsPoint(relevant, traj.temps).E
+        except (ThermostrobeError, ArithmeticError):
+            for j, beta in enumerate(traj.temps):
+                _as_step(max(j - 1, 0), cfgs[rows[0]].dt, _GibbsPoint, relevant, beta)
+            raise
+        if beta0.ndim == 1:
+            return [traj]
+        for j, i in enumerate(rows):
+            trajs[i] = Trajectory(traj.times, traj.params[:, j].copy(), traj.temps[:, j].copy(),
+                                  dict(traj.meta))
+    return trajs
 
 
 def _e_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
@@ -553,36 +607,40 @@ def _e_walk(limit: ContinuumLimit, E0: np.ndarray, order: int) -> Trajectory:
 ODE_ORDERS = {"ode1": 1, "ode2": 2, "ode-temperature": 2}  # continuum-limit protocols and their orders
 
 
-def run_odes(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig, protocols: list[str],
-             beta0=None, with_temps: bool = False) -> list[Trajectory]:
-    """The trajectories of the continuum-limit protocols named in protocols (ODE_ORDERS), on
-    one grid; the first error any of them meets is raised.
+def run_odes(gen: GkslGenerator, family: AnsatzFamily, E0, cfg: StrobConfig | list[StrobConfig],
+             protocols: list[str], beta0=None, with_temps: bool = False) -> list[Trajectory]:
+    """The trajectories of the continuum-limit protocols named in protocols (ODE_ORDERS), each
+    on the grid of cfg, or of its own entry of a list cfg (one per protocol, as a compare
+    ladder lists its rungs); the first error any of them meets is raised.
 
     A Gibbs family is integrated in beta, every protocol as one row of one walk
-    (_gibbs_walk): ode1 and ode2 from the one fit of E0, run as protocol step 0 (their
-    first row stays E0, the others are E(beta), and the beta rows are temps only with
-    with_temps), ode-temperature, the second order for a canonical family, from beta0, or
-    from that fit when beta0 is None.  Any other family runs each protocol alone (_e_walk)."""
+    (_gibbs_walk), each row on its own grid: ode1 and ode2 from the one fit of E0, run as
+    protocol step 0 (their first row stays E0, the others are E(beta), and the beta rows are
+    temps only with with_temps), ode-temperature, the second order for a canonical family,
+    from beta0, or from that fit when beta0 is None.  Any other family runs each protocol
+    alone (_e_walk), the protocols on one grid sharing one ContinuumLimit."""
     orders = [ODE_ORDERS.get(proto) for proto in protocols]
     if None in orders:
         raise ValidationError(f"{protocols[orders.index(None)]!r} is not a continuum-limit protocol; "
                               f"choose from {tuple(ODE_ORDERS)}")
     if "ode-temperature" in protocols:
         _require_canonical(family, "the temperature velocity")
-    limit = ContinuumLimit(gen, family, cfg)
+    if not protocols:
+        return []
+    cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else [cfg] * len(protocols)
+    if len(cfgs) != len(protocols):
+        raise ValidationError(f"{len(cfgs)} configs for {len(protocols)} protocols")
+    limit = ContinuumLimit(gen, family, cfgs[0])
     E0 = None if E0 is None else _as_params(E0, family.size)
     if not limit._gibbs:
-        trajs = [_e_walk(limit, E0, order) for order in orders]
+        limits = {limit.cfg: limit}  # one per grid
+        trajs = [_e_walk(limits.setdefault(c, ContinuumLimit(gen, family, c)), E0, order)
+                 for c, order in zip(cfgs, orders)]
     else:
         fits = [proto != "ode-temperature" or beta0 is None for proto in protocols]
-        beta = _as_step(0, cfg.dt, limit._point, E0).beta if any(fits) else None
+        beta = _as_step(0, limit.cfg.dt, limit._point, E0).beta if any(fits) else None
         starts = [beta if fit else _as_params(beta0, 1) for fit in fits]
-        if len(starts) < 2:  # a lone trajectory walks its own vector
-            trajs = [_gibbs_walk(limit, start, orders) for start in starts]
-        else:
-            walk = _gibbs_walk(limit, np.array(starts), orders)
-            trajs = [Trajectory(walk.times, walk.params[:, i].copy(), walk.temps[:, i].copy(),
-                                dict(walk.meta)) for i in range(len(starts))]
+        trajs = _gibbs_walk(limit, starts[0] if len(starts) == 1 else np.array(starts), orders, cfgs)
         for traj, fit in zip(trajs, fits):
             if fit:
                 traj.params[0] = E0

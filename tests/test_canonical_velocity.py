@@ -46,14 +46,14 @@ def test_float_velocity_is_the_numpy_velocity(d, n, lam, seed):
     orders = [int(o) for o in rng.integers(1, 3, size=n)]
     point = limit.gibbs_point(betas)
     point.slopes(max(orders))  # as the walk's RHS contracts it
-    fast = _canonical_beta_velocity(limit.cfg, point, orders)
+    fast = _canonical_beta_velocity([limit.cfg] * n, point, orders)
     slow = np.array([limit.beta_velocity(row, order) for row, order in zip(point.rows(), orders)])
     assert fast is not None and fast.shape == betas.shape
     assert np.array_equal(fast, slow) and np.array_equal(np.signbit(fast), np.signbit(slow))
     for beta, order in zip(betas, orders):
         lone = limit.gibbs_point(beta)
         lone.slopes(order)
-        fast = _canonical_beta_velocity(limit.cfg, lone, [order])
+        fast = _canonical_beta_velocity([limit.cfg], lone, [order])
         slow = limit.beta_velocity(lone, order)
         assert fast is not None and fast.shape == (1,)
         assert np.array_equal(fast, slow) and np.array_equal(np.signbit(fast), np.signbit(slow))
@@ -75,7 +75,7 @@ def test_a_row_the_floats_cannot_clear_raises_the_numpy_error(beta, expected, st
     limit = ContinuumLimit(qubit_generator(DRIVEN), GibbsAnsatz.canonical(qubit_energy_observable(DRIVEN)),
                            StrobConfig(lam=1.3, dt=0.1, horizon=0.3))
     with np.errstate(over="raise", invalid="raise"), pytest.raises(expected[0]) as info:
-        _gibbs_walk(limit, np.array(starts, dtype=float) + beta, orders)
+        _gibbs_walk(limit, np.array(starts, dtype=float) + beta, orders, [limit.cfg] * len(orders))
     assert str(info.value) == expected[1]
 
 

@@ -100,12 +100,13 @@ def test_stacked_walk_rows_equal_lone_walks(kind):
         n = int(rng.integers(2, 4))
         orders = [int(o) for o in rng.integers(1, 3, size=n)]
         starts = rng.normal(scale=0.8, size=(n, limit.family.size))
-        stacked = _gibbs_walk(limit, starts, orders)
-        assert stacked.temps.shape == (len(stacked), n, limit.family.size)
-        for i, (start, order) in enumerate(zip(starts, orders)):
-            alone = _gibbs_walk(limit, start, [order])
-            assert np.array_equal(stacked.temps[:, i], alone.temps)
-            assert np.array_equal(stacked.params[:, i], alone.params)
+        stacked = _gibbs_walk(limit, starts, orders, [limit.cfg] * n)
+        assert len(stacked) == n
+        for row, start, order in zip(stacked, starts, orders):
+            alone, = _gibbs_walk(limit, start, [order], [limit.cfg])
+            assert row.temps.shape == alone.temps.shape == (len(row), limit.family.size)
+            assert np.array_equal(row.temps, alone.temps)
+            assert np.array_equal(row.params, alone.params)
 
 
 def decay_family():

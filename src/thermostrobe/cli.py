@@ -418,18 +418,20 @@ def run_protocol(proto: str, model: ModelBundle, family: AnsatzFamily, cfg: Stro
     return Trajectory(times, params, temps, meta={"protocol": "closed-form"})
 
 
-def run_protocols(protocols, model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig,
-                  E0: np.ndarray, beta_probe: float | None, emit_beta: bool):
-    """The trajectory of each protocol, in listed order.  The continuum-limit ones
-    are walked together up front (run_odes); if that walk raises, it is dropped and every
-    protocol runs alone in order (run_protocol), so the first failure raises as a lone run's."""
-    odes = [proto for proto in protocols if proto in ODE_ORDERS]
+def run_protocols(plan, model: ModelBundle, family: AnsatzFamily, E0: np.ndarray,
+                  beta_probe: float | None, emit_beta: bool):
+    """The trajectory of each (protocol, cfg) entry of plan, in plan order.  The
+    continuum-limit entries are walked together up front, as rows of one run_odes walk, each
+    on its own cfg; the others run alone (run_protocol).  If that walk raises, it is dropped
+    and every entry runs alone in plan order, so the first failure raises as a lone run's."""
+    odes = [i for i, (proto, _) in enumerate(plan) if proto in ODE_ORDERS]
     try:
-        walked = dict(zip(odes, run_odes(model.generator, family, E0, cfg, odes, beta_probe, emit_beta)))
+        walked = dict(zip(odes, run_odes(model.generator, family, E0, [plan[i][1] for i in odes],
+                                         [plan[i][0] for i in odes], beta_probe, emit_beta)))
     except (ThermostrobeError, ArithmeticError):
         walked = {}
-    for proto in protocols:
-        yield walked[proto] if proto in walked else \
+    for i, (proto, cfg) in enumerate(plan):
+        yield walked[i] if i in walked else \
             run_protocol(proto, model, family, cfg, E0, beta_probe, emit_beta)
 
 
@@ -516,7 +518,7 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
     }
     diagnostics: dict = {}
     trajectories: dict[str, Trajectory] = {}
-    runs = run_protocols(protocols, model, family, cfg, E0, beta_probe, emit_beta)
+    runs = run_protocols([(proto, cfg) for proto in protocols], model, family, E0, beta_probe, emit_beta)
     for proto, traj in zip(protocols, runs):
         trajectories[proto] = traj
         fname = f"{name}_{proto}.csv"
@@ -542,6 +544,9 @@ def cmd_simulate(scenario: dict, out_dir: str) -> int:
 
 
 def cmd_compare(scenario: dict, out_dir: str) -> int:
+    """The dt ladder: one run_protocols plan of (discrete, ode1, ode2) per rung, rung by rung,
+    so every rung's ode1 and ode2 are rows of one walk and a failing ladder reports the
+    error of its first failing entry in that order; exit 1 unless ode2 is closer on every rung."""
     name = scenario["name"]
     dts = read(COMPARE, scenario["compare"], "compare")["dts"]
     if len(dts) < 2:
@@ -551,15 +556,9 @@ def cmd_compare(scenario: dict, out_dir: str) -> int:
     model, family, cfg, _ = _scenario_context(scenario, dts[0])
     E0 = build_initial(scenario["initial"], family)[0]
     cfgs = [cfg] + [build_config(scenario["strob"], dt) for dt in dts[1:]]
-    try:  # every rung's ode1 and ode2 as rows of one walk, each on its rung's grid
-        odes = run_odes(model.generator, family, E0, [cfg for cfg in cfgs for _ in ("ode1", "ode2")],
-                        ["ode1", "ode2"] * len(cfgs))
-    except (ThermostrobeError, ArithmeticError):  # dropped: the first failure raises as a lone rung's
-        rungs = [tuple(run_protocols(("discrete", "ode1", "ode2"), model, family, cfg, E0, None, False))
-                 for cfg in cfgs]
-    else:
-        rungs = [(run_discrete(model.generator, family, E0, cfg), *odes[2 * i:2 * i + 2])
-                 for i, cfg in enumerate(cfgs)]
+    runs = run_protocols([(proto, cfg) for cfg in cfgs for proto in ("discrete", "ode1", "ode2")],
+                         model, family, E0, None, False)
+    rungs = list(zip(runs, runs, runs))  # rung by rung: (discrete, ode1, ode2)
 
     report: dict = {"name": name, "dts": dts, "model": scenario["model"]["kind"],
                     "ansatz": scenario["ansatz"]["kind"], "alpha": [cfg.alpha for cfg in cfgs]}

@@ -4,12 +4,14 @@ Each script module is loaded without calling its main(), so a removed or
 renamed name fails here at almost no cost instead of only when the script
 is run.  The README's python blocks are executed, and its scenario-format
 block is run through the CLI.  The outputs of scripts/reference_outputs.py
-are held to the hashes in tests/golden/reference_outputs.sha256.
+are held to the hashes in tests/golden/reference_outputs.sha256, and
+scripts/workload_outputs.py must print the same lines for two runs.
 """
 
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,23 @@ def test_reference_outputs_keep_their_pinned_hashes(tmp_path, capsys):
     load_script(REPO / "scripts" / "reference_outputs.py").main([str(tmp_path)])
     pinned = (REPO / "tests" / "golden" / "reference_outputs.sha256").read_text(encoding="utf-8")
     assert capsys.readouterr().out == pinned
+
+
+def test_workload_outputs_print_the_same_hashes_twice(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on it
+    script = load_script(REPO / "scripts" / "workload_outputs.py")
+    try:
+        printed = []
+        for out in ("a", "b"):
+            script.main([str(tmp_path / out), "7"])
+            printed.append(capsys.readouterr().out)
+    finally:
+        sys.modules.pop("workloads", None)
+    assert printed[0] == printed[1]
+    paths = [line.split("  ")[1].split("/") for line in printed[0].splitlines()]
+    assert {seed for _, seed, _ in paths} == {"7"}
+    assert {name for name, _, _ in paths} == {
+        "ladder-qubit", "relax-multilevel", "gibbs-noncommuting", "open-factorized"}
 
 
 def test_readme_python_examples_run(capsys):

@@ -37,7 +37,7 @@ from thermostrobe import (
     run_ode_temperature,
     run_odes,
 )
-from thermostrobe import ansatz
+from thermostrobe import ansatz, cli, strob
 from thermostrobe.ansatz import _GibbsPoint
 from thermostrobe.cli import main
 from thermostrobe.matcore import exp_neg_kernel
@@ -227,6 +227,8 @@ DECAY_ERROR = ("error: protocol step 50 (t = 5): Gibbs response matrix is numeri
                "(|eigenvalues| from 6.287e-14 to 6.292e-02) at beta = [ 1.58929027e+01 -1.85564830e-06]\n")
 DECAY_ODE2_ERROR = ("error: protocol step 51 (t = 5.1): Gibbs response matrix is numerically singular "
                     "(|eigenvalues| from 6.194e-14 to 6.289e-02) at beta = [ 1.59007728e+01 -1.66517844e-07]\n")
+DECAY_LADDER_ERROR = ("error: protocol step 101 (t = 5.05): Gibbs response matrix is numerically singular "
+                      "(|eigenvalues| from 6.287e-14 to 6.292e-02) at beta = [ 1.58932167e+01 -1.85568804e-06]\n")
 STRONG_ERROR = ("error: protocol step 0 (t = 0): Gibbs response matrix is numerically singular "
                 "(|eigenvalues| from 0.000e+00 to 0.000e+00) at beta = [-110.54776557]\n")
 
@@ -246,3 +248,21 @@ def test_cli_failures_of_a_stacked_walk_are_those_of_lone_walks(tmp_path, comman
 def test_cli_reports_the_first_failure_in_listed_order(tmp_path, protocols):
     """ode2 is listed first, so its own step-51 error is reported, not ode1's earlier one."""
     assert run_cli(tmp_path, "simulate", {**DECAY, "protocols": protocols}) == (3, DECAY_ODE2_ERROR, [])
+
+
+def test_a_failing_ladder_walks_its_stack_once(tmp_path, monkeypatch):
+    """The ladder walk fails at the first rung's step 101; then each entry runs alone in
+    order, and the first rung's lone ode1 raises: two run_odes calls and the RK4 steps of
+    those two walks, without walking any rung's stack a second time."""
+    calls = {"run_odes": 0, "rk4_step": 0}
+    for module, name in ((cli, "run_odes"), (strob, "rk4_step")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, err, files = run_cli(tmp_path, "compare", {**DECAY, "compare": {"dts": [0.05, 0.1]}})
+    assert (code, err, files) == (3, DECAY_LADDER_ERROR, [])
+    assert calls["run_odes"] == 2 and calls["rk4_step"] <= 1527

@@ -387,6 +387,13 @@ def build_initial(section, family: AnsatzFamily) -> tuple[np.ndarray, float | No
 # Protocol running and output
 
 
+def _over_energy(model: ModelBundle, family: AnsatzFamily) -> bool:
+    """Whether family is a canonical Gibbs family over the model's energy observable, entry
+    for entry: only then is its E the energy that the models' closed forms read."""
+    return (isinstance(family, GibbsAnsatz) and family.size == 1 and model.energy_observable is not None
+            and np.array_equal(family.relevant.observables[0], model.energy_observable))
+
+
 def _check_protocols(protocols, model: ModelBundle, family: AnsatzFamily) -> list[str]:
     if not isinstance(protocols, (list, tuple)) or not protocols:
         raise ConfigError(f"protocols must be a nonempty list, got {protocols!r}")
@@ -396,6 +403,9 @@ def _check_protocols(protocols, model: ModelBundle, family: AnsatzFamily) -> lis
             raise ConfigError(f"unknown protocol {proto!r}; choose from {PROTOCOLS}")
         if proto == "closed-form" and model.kind != "qubit":
             raise ConfigError("the closed-form protocol is defined for the qubit model only")
+        if proto == "closed-form" and not _over_energy(model, family):
+            raise ConfigError("the closed-form protocol needs a gibbs-canonical ansatz over the "
+                              "model energy observable")
         if proto == "ode-temperature" and not (isinstance(family, GibbsAnsatz) and family.size == 1):
             raise ConfigError("the ode-temperature protocol needs a gibbs-canonical ansatz")
         if proto in out:
@@ -476,7 +486,7 @@ def _grid_deviation(a: Trajectory, b: Trajectory) -> float:
 def _analytic_check(model: ModelBundle, family: AnsatzFamily, cfg: StrobConfig) -> dict:
     if model.kind not in ("qubit", "multilevel"):
         raise ConfigError("generic_vs_analytic is defined for qubit and multilevel models")
-    if not (isinstance(family, GibbsAnsatz) and family.size == 1):
+    if not _over_energy(model, family):
         raise ConfigError("generic_vs_analytic needs a gibbs-canonical ansatz over the "
                           "model energy observable")
     limit = ContinuumLimit(model.generator, family, cfg)
@@ -611,7 +621,7 @@ def cmd_fit(scenario: dict, out_dir: str) -> int:
     report.update(target=target, beta=beta, residual=info["residual"],
                   iterations=info["iterations"])
     diagnostics: dict = {"fit_tol": fit["tol"]}
-    if model.kind == "qubit" and family.size == 1:
+    if model.kind == "qubit" and _over_energy(model, family):
         diagnostics["closed_form_beta"] = qubit_beta_closed_form(float(target[0]),
                                                                  model.qubit.omega0)
     report["diagnostics"] = diagnostics

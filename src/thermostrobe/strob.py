@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, gcd, isfinite
+from math import ceil, gcd, inf, isfinite
 
 import numpy as np
 
@@ -298,6 +298,16 @@ class ContinuumLimit:
         return _GibbsPoint(self.family.relevant, beta, self._point_stack)
 
     @cached_property
+    def _canonical_table(self) -> tuple | None:
+        """What _canonical_kernel reads of a one-observable table [w; a; b] (_point_stack):
+        w as Python floats, the table, its row w, and its rows [w; a] as the slope blocks;
+        None when the observable has no spectral table."""
+        if self.family.relevant.spectral_basis is None:
+            return None
+        X = self._point_stack
+        return X[0].tolist(), X, X[:1], X[:2].reshape(-1, 1, X.shape[-1])
+
+    @cached_property
     def _columns(self) -> np.ndarray:
         """Pairings Tr(X^dag S) of each image X with S = D_1..D_M, R0 of a linear family,
         complex: the moments of x = (E, 1) are the real part of _columns @ x."""
@@ -365,8 +375,8 @@ class ContinuumLimit:
         """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1
         (G is contracted first, so J is read from the same contraction), at the scales of cfg
         (a walked row's own, by default the limit's).  This per-point numpy form is the
-        reference: a canonical walk reads the same numbers as Python floats
-        (_canonical_beta_velocity) and comes back here for any row it cannot clear."""
+        reference: a canonical walk forms the same bits in one kernel (_canonical_kernel)
+        and comes back here for any RHS with a row it cannot clear."""
         M = len(point.E)
         a = point.means[M:2 * M]
         G = point.slopes(2 * M)[M:] if order == 2 else None
@@ -387,33 +397,54 @@ def _velocity(cfg: StrobConfig, order: int, a, b, Wa):
     return cfg.lam * a if order == 1 else cfg.lam * a + 0.5 * cfg.alpha * (b - Wa)
 
 
-def _canonical_beta_velocity(cfgs: list[StrobConfig], point: _GibbsPoint,
-                              orders: list[int]) -> np.ndarray | None:
-    """beta_velocity of a canonical (M = 1) gibbs_point, lone (1,) or stacked (n, 1) with row i
-    at orders[i] and the scales of cfgs[i], in Python floats: J, G, <A> and <B> are read with
-    one tolist() per array, and J^-1 = 1/J, W <A> and dbeta = J^-1 dE/dt are formed as
-    beta_velocity forms them.
+def _canonical_kernel(limit: ContinuumLimit, cfgs: list[StrobConfig], orders: list[int]):
+    """The RHS of a canonical (M = 1) walk as one kernel: beta, lone (1,) or stacked (n, 1) with
+    row i at orders[i] and the scales of cfgs[i], to dbeta/dt with the bits of beta_velocity on
+    the gibbs_point of beta, or None, handing the RHS back to that numpy path.
 
-    A 1 x 1 product in numpy is one IEEE operation, and a matmul adds it to 0, so each
-    float operation below (0.0 + x for a matmul) gives beta_velocity's bits.  That holds for
-    M = 1 only: a longer matmul sums its products in an order, or fused, as BLAS chooses.
-    None when a row fails the JACOBIAN_RCOND check or its dbeta is not finite, so that the
-    caller evaluates the RHS through beta_velocity, which raises or warns as it does."""
-    slopes, means = point.slopes(max(orders)).tolist(), point.means.tolist()
-    if point.beta.ndim == 1:
-        slopes, means = [slopes], [means]
-    dbeta = []
-    for ((J,), *G), (_, a, b), cfg, order in zip(slopes, means, cfgs, orders):
-        J = 0.5 * (J + J)  # the jacobian, symmetrized
-        if not abs(J) > JACOBIAN_RCOND * abs(J):
+    The table [w; a; b] is read at the first call (_canonical_table), as the walk's first RHS
+    reads the images.  Python floats form every single IEEE operation: k = beta w, its minimum
+    m, the negated shifted exponent m - k and the velocity, as beta_velocity forms it (a 1 x 1
+    matmul adds its product to 0, hence the 0.0 +).  numpy keeps what its bits depend on, with
+    a point's operand shapes: exp, Z (summed in order below 8 levels, pairwise from 8), and the
+    means and slopes (matmuls, summed as numpy or BLAS choose).  None when there is no table, or a row has a
+    non-finite spectrum, fails the JACOBIAN_RCOND check or has a non-finite dbeta: the numpy
+    path then raises or warns as it does."""
+    rows = max(orders)  # slope rows read: [w] at order 1, [w; a] at order 2
+
+    def kernel(beta: np.ndarray) -> np.ndarray | None:
+        table = limit._canonical_table
+        if table is None:
             return None
-        J_inv = 1.0 / J
-        Wa = 0.0 + (0.0 + G[0][0] * J_inv) * a if order == 2 else None
-        row = 0.0 + J_inv * _velocity(cfg, order, a, b, Wa)
-        if not isfinite(row):
-            return None
-        dbeta.append(row)
-    return np.array(dbeta).reshape(point.beta.shape)
+        w, X, P, blocks = table
+        shifted = []
+        for b in beta.ravel().tolist():
+            k = [b * wi for wi in w]
+            m = min(k)
+            if not max(k) - m < inf:  # an entry is inf or NaN
+                return None
+            shifted.append([m - ki for ki in k])
+        q = np.exp(np.array(shifted if beta.ndim == 2 else shifted[0]))
+        q /= np.add.reduce(q, axis=-1, keepdims=True)
+        means = X @ q[..., None]  # (..., 3, 1): <w>, <a>, <b>
+        C = (P - means[..., :1, :]).swapaxes(-1, -2)[..., None, :, :]
+        slopes = ((blocks[:rows] * -q[..., None, None, :]) @ C).ravel().tolist()
+        means = means.ravel().tolist()
+        dbeta = []
+        for i, (cfg, order) in enumerate(zip(cfgs, orders)):
+            J = slopes[rows * i]
+            J = 0.5 * (J + J)  # the jacobian, symmetrized
+            if not abs(J) > JACOBIAN_RCOND * abs(J):
+                return None
+            J_inv = 1.0 / J
+            a, b = means[3 * i + 1], means[3 * i + 2]
+            Wa = 0.0 + (0.0 + slopes[rows * i + 1] * J_inv) * a if order == 2 else None
+            row = 0.0 + J_inv * _velocity(cfg, order, a, b, Wa)
+            if not isfinite(row):
+                return None
+            dbeta.append(row)
+        return np.array(dbeta).reshape(beta.shape)
+    return kernel
 
 
 def _require_canonical(family: AnsatzFamily, what: str) -> None:
@@ -550,11 +581,12 @@ def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int],
                 cfgs: list[StrobConfig]) -> list[Trajectory]:
     """dbeta/dt = J^-1 dE/dt integrated from beta0 at orders[0] on the grid of cfgs[0], or from
     every row i of a stack beta0 (n, M) at orders[i] on the grid and at the scales of cfgs[i],
-    the rows advanced together (_rk4_rows): each RHS is one gibbs_point of the live rows and
-    the velocity of each of its rows().  For a canonical family (M = 1) that velocity is
-    formed in Python floats from the point's arrays (_canonical_beta_velocity), with the bits
-    of the numpy beta_velocity, which still takes any RHS with a row the floats cannot clear;
-    for M >= 2 a float form would not sum as BLAS does, so each row is read through numpy.
+    the rows advanced together (_rk4_rows).  For a canonical family (M = 1) every RHS is one
+    kernel, built once per set of live rows (_canonical_kernel): beta to dbeta/dt, in Python
+    floats where one IEEE operation gives numpy's bits and in numpy where the bits need it,
+    with no Gibbs point.  Otherwise, and for any RHS the kernel hands back, the RHS is one
+    gibbs_point of the live rows and the numpy velocity of each of its rows(), which raises or
+    warns as it does; for M >= 2 a float form would not sum as BLAS does.
     One trajectory per row: the beta rows are the temps; the params, their E, come from one
     point of all the rows on one grid, and if that raises, each time row is read alone as the
     protocol step that made it (step 0 for the start), so the first failure names its step."""
@@ -563,14 +595,15 @@ def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int],
     def rhs_of(live: list[int]):
         row_cfgs, row_orders = [cfgs[i] for i in live], [orders[i] for i in live]
         width = relevant.size * max(row_orders)  # the slope rows read: [P] at order 1, [P; A] at order 2
+        kernel = _canonical_kernel(limit, row_cfgs, row_orders) if relevant.size == 1 else None
 
         def rhs(beta: np.ndarray) -> np.ndarray:
-            point = limit.gibbs_point(beta)
-            point.slopes(width)  # every row's slopes in one contraction
-            if relevant.size == 1:
-                dbeta = _canonical_beta_velocity(row_cfgs, point, row_orders)
+            if kernel is not None:
+                dbeta = kernel(beta)
                 if dbeta is not None:
                     return dbeta
+            point = limit.gibbs_point(beta)
+            point.slopes(width)  # every row's slopes in one contraction
             if beta.ndim == 1:  # a lone trajectory: ~11 % less per M = 2 RHS than as a one-row stack
                 return limit.beta_velocity(point, row_orders[0], row_cfgs[0])
             return np.array([limit.beta_velocity(row, order, cfg)

@@ -435,6 +435,34 @@ def test_closed_form_needs_qubit(tmp_path):
     assert main(["simulate", path, "--out-dir", str(tmp_path / "o")]) == 2
 
 
+OVER_SIGMA_X = {"kind": "gibbs-canonical", "observable": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+def test_closed_form_needs_the_energy_observable(tmp_path, capsys):
+    # the closed form relaxes an energy: over sigma_x it used to run and compare <sigma_x> with it
+    sc = variant(QUBIT_BASE, ansatz=OVER_SIGMA_X, protocols=["discrete", "closed-form"], initial={"E": [0.3]})
+    assert main(["simulate", scenario_file(tmp_path, sc), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "closed-form protocol needs a gibbs-canonical ansatz over the model energy" in capsys.readouterr().err
+    assert not list((tmp_path / "o").iterdir())
+
+
+def test_analytic_check_needs_the_energy_observable(tmp_path, capsys):
+    sc = variant(QUBIT_BASE, ansatz=OVER_SIGMA_X, protocols=["discrete"], initial={"E": [0.3]},
+                 checks={"generic_vs_analytic": True})
+    assert main(["simulate", scenario_file(tmp_path, sc), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "generic_vs_analytic needs a gibbs-canonical ansatz over the model energy" in capsys.readouterr().err
+
+
+def test_fit_over_another_observable_has_no_closed_form_beta(tmp_path):
+    # -0.3 is no qubit energy but a feasible <sigma_x>: the fit succeeds, and no energy closed form is read
+    sc = variant(QUBIT_BASE, name="fit", ansatz=OVER_SIGMA_X, fit={"target_E": [-0.3]})
+    out = tmp_path / "out"
+    assert main(["fit", scenario_file(tmp_path, sc), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "fit_fit.json").read_text())
+    assert report["residual"] <= 1e-10
+    assert report["diagnostics"] == {"fit_tol": 1e-10}
+
+
 def test_ode_temperature_needs_canonical_gibbs(tmp_path):
     sc = variant(QUBIT_BASE, ansatz={"kind": "pinching"}, protocols=["ode-temperature"])
     path = scenario_file(tmp_path, sc)

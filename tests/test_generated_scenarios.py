@@ -2,7 +2,8 @@
 
 A hypothesis strategy builds scenarios that are valid by construction: a
 qubit, multilevel or custom GKSL model, any family kind the model admits, a
-random subset and order of the protocols allowed on them, lambda from 0.5 to
+random subset and order of the protocols allowed on them (closed-form only for
+a canonical family over the qubit's energy observable), lambda from 0.5 to
 30 (so some runs fail at run time) and an in-domain initial point.  Two
 relations between command runs then need no oracle, and hold byte for byte:
 
@@ -28,7 +29,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from thermostrobe.ansatz import GibbsAnsatz, extract_params
-from thermostrobe.cli import build_ansatz, build_model, main
+from thermostrobe.cli import _over_energy, build_ansatz, build_model, main
 from tutil import random_complex, random_density, random_hermitian
 
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
@@ -102,7 +103,7 @@ def scenarios(draw):
     initial = {"rho": {"rho": matrix_yaml(rho)}, "E": {"E": extract_params(family, rho).tolist()},
                "beta_probe": {"beta_probe": float(rng.uniform(-2.0, 2.0))}}[start]
     allowed = list(LADDER) + ["ode-temperature"] * canonical + \
-        ["closed-form"] * (model_kind == "qubit")
+        ["closed-form"] * (model_kind == "qubit" and _over_energy(built, family))
     protocols = draw(st.permutations(allowed))[:draw(st.integers(2, len(allowed)))]  # companions
     return {"name": "gen", "model": model, "ansatz": ansatz, "strob": strob, "initial": initial,
             "protocols": protocols, "output": {"emit_beta": draw(st.booleans())}}

@@ -3,7 +3,8 @@
 Each script module is loaded without calling its main(), so a removed or
 renamed name fails here at almost no cost instead of only when the script
 is run.  The README's python blocks are executed, and its scenario-format
-block is run through the CLI.  The outputs of scripts/reference_outputs.py
+block is run through the CLI.  The summary of scripts/bench_pairs.py is
+checked on fixed numbers.  The outputs of scripts/reference_outputs.py
 are held to the hashes in tests/golden/reference_outputs.sha256, and
 scripts/workload_outputs.py must print the same lines for two runs.
 """
@@ -84,3 +85,40 @@ def test_readme_scenario_format_runs(tmp_path, capsys):
     summary = json.loads((tmp_path / "qubit_standard_summary.json").read_text())
     assert summary["protocols"] == ["discrete", "ode2", "closed-form"]
     assert "generic_vs_analytic_A" in summary["diagnostics"]
+
+
+PARENT_RUNS = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]  # quartiles 11, 12, 13
+
+
+@pytest.mark.parametrize("shift, ties, losses, wins, gain", [
+    (5.0, 0, 0, 10, True),
+    (5.0, 1, 0, 9, True),    # 9 of 10 pairs: the edge that still holds
+    (5.0, 0, 1, 9, True),
+    (5.0, 2, 0, 8, False),   # ties count for neither side
+    (5.0, 1, 1, 8, False),
+    (2.0, 0, 0, 10, False),  # the median gap equals the parent's interquartile range
+    (2.5, 0, 0, 10, True),
+], ids=["all", "one-tie", "one-loss", "two-ties", "tie-and-loss", "gap-at-iqr", "gap-above-iqr"])
+def test_bench_pairs_summary(shift, ties, losses, wins, gain):
+    summarize = load_script(REPO / "scripts" / "bench_pairs.py").summarize
+    change = [p - shift for p in PARENT_RUNS]
+    for i in range(ties):
+        change[2 * i] = PARENT_RUNS[2 * i]
+    for i in range(losses):
+        change[2 * i + 1] = PARENT_RUNS[2 * i + 1] + 1.0
+    low = summarize(PARENT_RUNS, change, "lower")
+    assert (low["wins"], low["pairs"], low["gain"]) == (wins, 10, gain)
+    assert low["parent"] == (11.0, 12.0, 13.0)
+    high = summarize([-p for p in PARENT_RUNS], [-c for c in change], "higher")
+    assert (high["wins"], high["gain"]) == (wins, gain)
+    assert summarize(PARENT_RUNS * 2, change * 2, "lower")["gain"] == gain  # 18 of 20 holds, 16 does not
+
+
+@pytest.mark.parametrize("result", [
+    {"correct": False, "attempted": 5, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}},
+    {"correct": True, "attempted": 5, "failed": 1, "metrics": {"wall_s": {"value": 1.0}}},
+    {"correct": False, "attempted": 3, "failed": 3},
+], ids=["incorrect", "failed-op", "no-metrics"])
+def test_bench_pairs_refuses_a_bad_run(result):
+    with pytest.raises(SystemExit, match="refused"):
+        load_script(REPO / "scripts" / "bench_pairs.py").checked(result, "parent")

@@ -7,10 +7,17 @@ the CHANGE checkout, one pair at a time, alternating which side runs first.
 A run that reports `correct: false`, or any failed operation, stops the script
 before anything is summarized.  For every end-to-end metric that CHANGE's
 BENCHMARK.json lists, it then prints each side's median and quartiles, the
-pairs the change won (a tie counts for neither side), and whether a gain
-holds: the change wins at least nine tenths of the pairs, and the medians
-differ, in the better direction, by more than the parent's interquartile
-range.
+pairs the change won (a tie counts for neither side), whether a gain holds
+(the change wins at least nine tenths of the pairs, and the medians differ,
+in the better direction, by more than the parent's interquartile range), and
+a regression verdict against the metric's BENCHMARK.json bound, a fraction of
+the parent's median:
+
+- `no worse`: the change's median is worse than the parent's by at most the bound;
+- `worse`: it is worse by more;
+- `unresolved`: the parent's interquartile range is wider than the bound, so
+  the runs cannot tell, unless every run of the change beats every run of the
+  parent (then `no worse`).
 """
 
 import argparse
@@ -39,6 +46,19 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     gap = sign * (ours[1] - theirs[1])
     return {"parent": ours, "change": theirs, "wins": wins, "pairs": len(parent), "gap": gap,
             "gain": 10 * wins >= 9 * len(parent) and gap > ours[2] - ours[0]}
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """"no worse", "worse" or "unresolved": the change's median against the parent's, with the
+    bound a fraction of the parent's median; unresolved when the parent's interquartile range
+    is wider than the bound, unless every run of the change beats every run of the parent."""
+    sign = 1.0 if better == "lower" else -1.0  # a run is worse by sign * (change - parent)
+    q1, mid, q3 = quartiles(parent)
+    if all(sign * (p - c) > 0.0 for p in parent for c in change):
+        return "no worse"
+    if q3 - q1 > bound * abs(mid):
+        return "unresolved"
+    return "no worse" if sign * (median(change) - mid) <= bound * abs(mid) else "worse"
 
 
 def checked(result: dict, where: str) -> dict:
@@ -80,13 +100,15 @@ def main(argv=None):
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s runs")
     for metric in metrics:
         name = metric["name"]
-        s = summarize([r[name]["value"] for r in runs["parent"]], [r[name]["value"] for r in runs["change"]],
-                      metric["better"])
+        parent, change = ([r[name]["value"] for r in runs[side]] for side in ("parent", "change"))
+        s = summarize(parent, change, metric["better"])
         sides = "  ".join(f"{side} {s[side][1]:.6g} [{s[side][0]:.6g}, {s[side][2]:.6g}]"
                           for side in ("parent", "change"))
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): {sides}  "
               f"median {100.0 * (s['change'][1] / s['parent'][1] - 1.0):+.1f} %  "
-              f"change wins {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+              f"change wins {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}  "
+              f"{verdict(parent, change, metric['better'], metric['bound'])} "
+              f"(bound {metric['bound']:g})")
 
 
 if __name__ == "__main__":

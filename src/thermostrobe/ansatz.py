@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .matcore import (
     frobenius,
     hermitize,
     kron,
-    partial_trace,
     require_finite,
     require_hermitian,
     require_square,
@@ -48,6 +47,7 @@ IMAG_TOL = 1e-10
 JACOBIAN_RCOND = 1e-12
 COMMUTE_TOL = 1e-12
 FIT_TOL = 1e-11  # default residual tolerance of a Gibbs family's fits
+FIT_MAX_ITER = 200  # Newton iterations of a Gibbs family's fits, and fit_beta's default
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +371,7 @@ def _bisect_beta(relevant: RelevantSet, target: float, tol: float) -> float:
     raise FitError(f"bisection stalled at residual {abs(resid(mid)):.3e} for target {target}")
 
 
-def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: int = 200,
+def fit_beta(observables, target, beta_init=None, tol: float = 1e-10, max_iter: int = FIT_MAX_ITER,
              full_output: bool = False):
     """Solve Tr(P_m rho_Gibbs(beta)) = target_m for beta.
 
@@ -483,13 +483,6 @@ class AnsatzFamily(ABC):
     def derivative_of(self, E) -> np.ndarray:
         """Stack of parameter derivatives d state_of / d E_j, shape (M, d, d)."""
 
-    def feasible(self, E) -> bool:
-        try:
-            self.state_of(E)
-            return True
-        except (DomainError, ValidationError):
-            return False
-
 
 def extract_params(family: AnsatzFamily, rho) -> np.ndarray:
     """Expectations of the family's relevant observables in a given state."""
@@ -509,20 +502,13 @@ def _real_parts(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return z.real.copy()
 
 
-def posterior(family: AnsatzFamily, rho) -> np.ndarray:
-    """Reset a state onto the family while keeping its relevant expectations."""
-    rho = require_density(rho)
-    return family.state_of(extract_params(family, rho))
-
-
 class GibbsAnsatz(AnsatzFamily):
     """Generalized Gibbs family over a relevant set, with Newton-fitted exponents."""
 
-    def __init__(self, observables, fit_tol: float = FIT_TOL, fit_max_iter: int = 200):
-        _check_fit_settings(fit_tol, fit_max_iter)
+    def __init__(self, observables, fit_tol: float = FIT_TOL):
+        _check_fit_settings(fit_tol, FIT_MAX_ITER)
         self.relevant = _as_relevant(observables)
         self.fit_tol = float(fit_tol)
-        self.fit_max_iter = int(fit_max_iter)
         self.label = "gibbs-canonical" if self.relevant.size == 1 else "gibbs-generalized"
 
     @classmethod
@@ -533,7 +519,7 @@ class GibbsAnsatz(AnsatzFamily):
         """The Gibbs point at the fitted exponents, as the fit left it, evaluating stack
         (RelevantSet.point_stack, by default the observables alone)."""
         try:
-            return _fit_point(self.relevant, E, beta_init, self.fit_tol, self.fit_max_iter, stack)[0]
+            return _fit_point(self.relevant, E, beta_init, self.fit_tol, FIT_MAX_ITER, stack)[0]
         except FitError as err:
             raise DomainError(f"parameters appear infeasible for the Gibbs family: {err}") from err
 
@@ -542,10 +528,6 @@ class GibbsAnsatz(AnsatzFamily):
 
     def derivative_of(self, E) -> np.ndarray:
         return self.point_of(E).derivative()
-
-    def derivative_from_beta(self, beta) -> np.ndarray:
-        """Parameter derivatives via the chain rule through the fitted exponents."""
-        return _gibbs_point(self.relevant, beta).derivative()
 
 
 # ---------------------------------------------------------------------------
@@ -676,16 +658,6 @@ class PinchingAnsatz(_LinearAnsatz):
     def state_of(self, E) -> np.ndarray:
         return self._embed(self.feasible_block(E))
 
-    def project(self, M) -> np.ndarray:
-        """The linear pinching map itself, defined on arbitrary operators."""
-        M = require_square(M, "operand")
-        Mt = self._U.conj().T @ M @ self._U
-        out = np.zeros_like(Mt)
-        for block in self._blocks:
-            idx = np.ix_(block, block)
-            out[idx] = Mt[idx]
-        return self._U @ out @ self._U.conj().T
-
 
 class SelectiveAnsatz(AnsatzFamily):
     """Renormalized single-branch family of a reference observable's eigenvalue.
@@ -742,6 +714,9 @@ class FactorizedAnsatz(_LinearAnsatz):
     _domain = "factorized system parameter vector"
 
     def __init__(self, rho_B, dims: tuple[int, int]):
+        if len(dims) != 2 or any(isinstance(n, bool) or not isinstance(n, Real) or not float(n).is_integer()
+                                 for n in dims):
+            raise ValidationError(f"factorized dims {dims} must be two integers")
         dS, dB = int(dims[0]), int(dims[1])
         if dS < 2 or dB < 1:
             raise ValidationError(f"factorized dims {dims} must have a nontrivial system factor")
@@ -759,8 +734,3 @@ class FactorizedAnsatz(_LinearAnsatz):
 
     def state_of(self, E) -> np.ndarray:
         return self._embed(self.feasible_block(E))
-
-    def project(self, M) -> np.ndarray:
-        """The linear factorization map Tr_B(M) x rho_B on arbitrary operators."""
-        return kron(partial_trace(M, self.dims, "S"), self.rho_B)
-

@@ -31,7 +31,6 @@ from .matcore import (
 
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
-CHOI_EIG_FLOOR = -1e-8
 
 
 def require_density(rho, name: str = "state") -> np.ndarray:
@@ -77,19 +76,6 @@ class GkslGenerator:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-
-def apply_schrodinger(gen: GkslGenerator, rho) -> np.ndarray:
-    """Apply the generator to a state (or any operator of matching dimension)."""
-    rho = require_square(rho, "operand")
-    H = gen.hamiltonian
-    require_same_shape(H, rho, "generator and operand")
-    out = -1j * (H @ rho - rho @ H)
-    for L, g in gen.jumps:
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out = out + g * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
-    return out
 
 
 def apply_heisenberg(gen: GkslGenerator, X) -> np.ndarray:
@@ -163,20 +149,3 @@ class Propagator:
         images = X.transpose(0, 2, 1).reshape(n, d * d) @ self.matrix.conj()
         return images.reshape(n, d, d).transpose(0, 2, 1)
 
-
-def propagate(gen: GkslGenerator, rho, t: float) -> np.ndarray:
-    """Evolve a state for time t under the generator."""
-    return Propagator.build(gen, t).apply(rho)
-
-
-def choi_matrix(gen: GkslGenerator, t: float) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| kron Phi_t(|i><j|) of the time-t propagator: the entry
-    (i a, j b) is Phi_t(|i><j|)_ab, the column j d + i of the propagator at row b d + a."""
-    d = gen.dim
-    T = Propagator.build(gen, t).matrix.reshape(d, d, d, d)  # (b, a, j, i)
-    return hermitize(T.transpose(3, 1, 2, 0).reshape(d * d, d * d))
-
-
-def choi_psd_check(gen: GkslGenerator, t: float) -> float:
-    """Minimum Choi eigenvalue of the time-t propagator (>= -1e-8 for a CP map)."""
-    return float(np.linalg.eigvalsh(choi_matrix(gen, t)).min())

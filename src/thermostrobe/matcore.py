@@ -1,7 +1,7 @@
 """Dense complex-matrix primitives.
 
-Hermitian eigensolves, matrix exponentials, the directional derivative of
-K -> exp(-K), Frobenius pairings, tensor products and partial traces.
+Validation, the matrix exponential, the directional derivative of
+K -> exp(-K), Frobenius pairings and tensor products.
 Tolerances are relative to matrix scale, measured as (1 + max entry
 magnitude), so the same thresholds work across very different norms.
 """
@@ -19,9 +19,6 @@ EXP_SCALE_TARGET = 0.5
 DEGENERATE_EIG_TOL = 1e-8
 
 # Two-level basis convention used throughout: index 0 = excited, index 1 = ground.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 
@@ -30,10 +27,6 @@ def scale_of(M: np.ndarray) -> float:
     """Relative-tolerance scale of a matrix: 1 + max entry magnitude."""
     M = np.asarray(M)
     return 1.0 + (float(np.max(np.abs(M))) if M.size else 0.0)
-
-
-def dagger(M: np.ndarray) -> np.ndarray:
-    return np.asarray(M).conj().T
 
 
 def require_square(M, name: str = "matrix") -> np.ndarray:
@@ -61,13 +54,6 @@ def hermiticity_defect(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
-def is_hermitian(M, tol: float = HERM_TOL) -> bool:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return False
-    return hermiticity_defect(M) <= tol * scale_of(M)
-
-
 def require_hermitian(M, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     M = require_square(M, name)
     dev = hermiticity_defect(M)
@@ -79,19 +65,6 @@ def require_hermitian(M, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Symmetrize away the roundoff-level anti-Hermitian part (of each matrix of a stack)."""
     return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
-
-
-def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    M = require_hermitian(M)
-    w, U = np.linalg.eigh(M)
-    return w, U
-
-
-def exp_hermitian(M, s: float = 1.0) -> np.ndarray:
-    """exp(s*M) for Hermitian M, via eigendecomposition."""
-    w, U = herm_eig(M)
-    return hermitize((U * np.exp(s * w)) @ U.conj().T)
 
 
 def exp_general(X, cap: int = EXP_DIM_CAP) -> np.ndarray:
@@ -176,20 +149,3 @@ def kron(A, B) -> np.ndarray:
     B = require_square(B, "right factor")
     return np.kron(A, B)
 
-
-def partial_trace(M, dims: tuple[int, int], keep: str = "S") -> np.ndarray:
-    """Partial trace of an operator on a (d_S x d_B)-dimensional product space.
-
-    dims = (d_S, d_B); keep selects the surviving factor, "S" or "B".
-    """
-    M = require_square(M, "operator")
-    dS, dB = int(dims[0]), int(dims[1])
-    if dS <= 0 or dB <= 0 or dS * dB != M.shape[0]:
-        raise ValidationError(f"dims {dims} incompatible with operator dimension {M.shape[0]}")
-    which = str(keep).upper()
-    T = M.reshape(dS, dB, dS, dB)
-    if which == "S":
-        return np.einsum("ibjb->ij", T)
-    if which == "B":
-        return np.einsum("iaib->ab", T)
-    raise ValidationError(f"keep must be 'S' or 'B', got {keep!r}")

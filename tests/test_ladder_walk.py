@@ -20,8 +20,6 @@ from hypothesis import given, settings, strategies as st
 from thermostrobe import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
     GibbsAnsatz,
     GkslGenerator,
     QubitParams,
@@ -33,6 +31,7 @@ from thermostrobe import (
     strob,
 )
 from thermostrobe.cli import main
+from reference import SIGMA_X, SIGMA_Z
 
 DRIVEN = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, dt=0.1, Omega=0.2)
 FAMILIES = {  # generator, family and E0: the driven qubit's energy table, a qubit's dense (S_z, S_x) family

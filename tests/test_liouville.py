@@ -12,17 +12,14 @@ from thermostrobe import (
     SIGMA_PLUS,
     ValidationError,
     apply_heisenberg,
-    apply_schrodinger,
-    choi_matrix,
-    choi_psd_check,
     hermiticity_defect,
-    propagate,
     require_density,
     scale_of,
     to_liouvillian,
     unvec,
     vec,
 )
+from reference import apply_schrodinger, choi_matrix, choi_psd_check, propagate
 from tutil import random_complex, random_density, random_generator, random_hermitian
 
 

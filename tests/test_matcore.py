@@ -7,24 +7,26 @@ from thermostrobe import (
     CapacityError,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     ValidationError,
-    dagger,
     dexp_neg,
     exp_general,
-    exp_hermitian,
     frobenius,
-    herm_eig,
     hermiticity_defect,
     hermitize,
-    is_hermitian,
     kron,
-    partial_trace,
     require_hermitian,
     require_square,
     scale_of,
+)
+from reference import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    exp_hermitian,
+    herm_eig,
+    is_hermitian,
+    partial_trace,
 )
 from tutil import random_complex, random_density, random_hermitian
 

@@ -9,7 +9,6 @@ from thermostrobe import (
     QubitParams,
     StrobConfig,
     ValidationError,
-    apply_schrodinger,
     bosonic_gamma,
     gibbs_expectations,
     gibbs_state,
@@ -28,6 +27,7 @@ from thermostrobe import (
     qubit_rate_closed_form,
     qubit_tau,
 )
+from reference import apply_schrodinger
 
 STANDARD = QubitParams(omega0=1.0, gamma=0.5, beta0=1.0, dt=0.1, Omega=0.2)
 ML = MultilevelParams(
@@ -177,6 +177,23 @@ def test_multilevel_params_validation():
     with pytest.raises(ValidationError):
         MultilevelParams(omegas=(0.0, 1.0), base_rates=good, shifts=(0.1,))
     assert MultilevelParams(omegas=(0.0, 1.0), base_rates=good).dim == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omegas", (0.0, np.nan, 2.0)),
+    ("omegas", (0.0, 1.0, np.inf)),
+    ("base_rates", np.where(ML.base_rates > 0.0, np.nan, 0.0)),
+    ("base_rates", np.triu(np.full((3, 3), np.inf), 1)),
+    ("beta0", np.nan),
+    ("beta0", -np.inf),
+    ("shifts", (0.0, np.nan, 0.0)),
+    ("shifts", (np.inf, 0.0, 0.0)),
+])
+def test_multilevel_params_refuse_non_finite_values(field, value):
+    # a NaN base rate would drop its jump from the generator and make the analytic moments NaN
+    fields = {"omegas": ML.omegas, "base_rates": ML.base_rates, "beta0": ML.beta0, "shifts": None}
+    with pytest.raises(ValidationError, match=f"non-finite entries in multilevel {field}"):
+        MultilevelParams(**{**fields, field: value})
 
 
 def test_multilevel_rates_detailed_balance():

@@ -114,6 +114,28 @@ def test_bench_pairs_summary(shift, ties, losses, wins, gain):
     assert summarize(PARENT_RUNS * 2, change * 2, "lower")["gain"] == gain  # 18 of 20 holds, 16 does not
 
 
+@pytest.mark.parametrize("change, verdict", [
+    ([c + 2.9 for c in PARENT_RUNS], "no worse"),    # median 14.9, within 25 % of 12
+    ([c + 3.0 for c in PARENT_RUNS], "no worse"),    # median 15.0, exactly at the bound
+    ([c + 3.1 for c in PARENT_RUNS], "worse"),       # median 15.1, beyond it
+    ([c - 5.0 for c in PARENT_RUNS], "no worse"),    # better
+], ids=["inside-bound", "at-bound", "beyond-bound", "better"])
+def test_bench_pairs_verdict(change, verdict):
+    judge = load_script(REPO / "scripts" / "bench_pairs.py").verdict
+    assert judge(PARENT_RUNS, change, "lower", 0.25) == verdict
+    assert judge([-p for p in PARENT_RUNS], [-c for c in change], "higher", 0.25) == verdict
+
+
+def test_bench_pairs_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    judge = load_script(REPO / "scripts" / "bench_pairs.py").verdict
+    # the parent's interquartile range is 2, wider than 5 % of its median 12
+    assert judge(PARENT_RUNS, PARENT_RUNS, "lower", 0.05) == "unresolved"
+    assert judge(PARENT_RUNS, [c + 10.0 for c in PARENT_RUNS], "lower", 0.05) == "unresolved"
+    assert judge(PARENT_RUNS, [c - 3.5 for c in PARENT_RUNS], "lower", 0.05) == "unresolved"  # 10.5 > 10
+    assert judge(PARENT_RUNS, [c - 5.0 for c in PARENT_RUNS], "lower", 0.05) == "no worse"  # every run beats every run
+    assert judge(PARENT_RUNS, [9.0] * 10, "lower", 0.05) == "no worse"
+
+
 @pytest.mark.parametrize("result", [
     {"correct": False, "attempted": 5, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}},
     {"correct": True, "attempted": 5, "failed": 1, "metrics": {"wall_s": {"value": 1.0}}},

@@ -19,8 +19,6 @@ import yaml
 
 from thermostrobe import (
     SIGMA_MINUS,
-    SIGMA_X,
-    SIGMA_Z,
     ContinuumLimit,
     DomainError,
     GibbsAnsatz,
@@ -42,6 +40,7 @@ from thermostrobe.ansatz import _GibbsPoint
 from thermostrobe.cli import main
 from thermostrobe.matcore import exp_neg_kernel
 from thermostrobe.strob import _gibbs_walk
+from reference import SIGMA_X, SIGMA_Z
 from tutil import random_generator
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

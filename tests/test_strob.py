@@ -15,8 +15,6 @@ from thermostrobe import (
     Propagator,
     QubitParams,
     SIGMA_MINUS,
-    SIGMA_X,
-    SIGMA_Z,
     SelectiveAnsatz,
     SingularityError,
     StrobConfig,
@@ -30,9 +28,6 @@ from thermostrobe import (
     invariant_subspace_matrix,
     multilevel_energy_observable,
     multilevel_generator,
-    ode_rhs_temperature,
-    posterior,
-    projector_ode_rhs,
     qubit_A_analytic,
     qubit_B_analytic,
     qubit_energy_observable,
@@ -44,6 +39,7 @@ from thermostrobe import (
     run_odes,
 )
 from thermostrobe.cli import _scenario_context, estimate_tau, load_scenario
+from reference import SIGMA_X, SIGMA_Z, ode_rhs_temperature, posterior, projector_ode_rhs
 from tutil import random_generator
 
 REPO = Path(__file__).resolve().parents[1]

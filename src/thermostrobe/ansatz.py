@@ -175,8 +175,8 @@ def _rotate(U: np.ndarray, S: np.ndarray) -> np.ndarray:
 class _GibbsPoint:
     """Every Gibbs quantity at one exponent vector beta (M,), from one
     factorization K = (beta, P) = U diag(k) U^dag; or at every vector of a
-    stack beta (..., M) at once, the rows() of an (n, M) stack being the
-    points at its vectors.
+    stack beta (..., M) at once, each of its arrays then holding one row per
+    vector.
 
     The point evaluates one operator stack [P; X] (RelevantSet.point_stack,
     by default the observables alone).  When the observables commute, U is
@@ -192,7 +192,7 @@ class _GibbsPoint:
     shifted weights; means holds Tr(X_m rho) for every row of the operator
     stack, from one product with q.  A non-finite beta, or exponents so
     large that the eigensolve fails or the shifted spectrum overflows, raise
-    DomainError.  slopes contracts a whole stack at once; the other
+    DomainError.  slopes and jacobian serve a whole stack at once; the other
     derivative quantities are read at one point.  A fit builds each of its
     points with the stack its caller reads (_fit_point), so the accepted
     point is the one read.
@@ -226,27 +226,12 @@ class _GibbsPoint:
         self.beta, self.diagonal, self.U, self.X = beta, basis is not None, U, X
         self.k, self.Z, self.q, self.means, self.E, self._slopes = k, Z, q, means, means[..., :M], None
 
-    def rows(self) -> list[_GibbsPoint]:
-        """The point at each exponent vector of a stack (n, M), viewing the stack's arrays:
-        a table and its basis serve every row, and each row gets its slice of the slopes
-        contracted so far."""
-        rows = []
-        for i in range(len(self.beta)):
-            point = _GibbsPoint.__new__(_GibbsPoint)
-            point.beta, point.diagonal, point.k, point.Z, point.q = \
-                self.beta[i], self.diagonal, self.k[i], self.Z[i], self.q[i]
-            point.U, point.X = (self.U, self.X) if self.diagonal else (self.U[i], self.X[i])
-            point.means, point.E = self.means[i], self.E[i]
-            point._slopes = None if self._slopes is None else self._slopes[i]
-            rows.append(point)
-        return rows
-
     def slopes(self, rows: int) -> np.ndarray:
         """D_mn = d Tr(X_m rho) / d beta_n for the first rows of the operator stack, at
-        the point or at every point of a stack (..., rows, M): one contraction of those
-        rows against P, whose top M x M block is J before symmetrization.  The widest
-        block computed is kept for narrower calls, and rows() hands each row its slice.
-        A table is contracted in blocks of M rows, each rounded as a lone block."""
+        the point or at every point of a stack (..., rows, M), each row with its lone point's
+        bits: one contraction of those rows against P, whose top M x M block is J before
+        symmetrization.  The widest block computed is kept for narrower calls.  A table is
+        contracted in blocks of M rows, each rounded as a lone block."""
         if self._slopes is None or self._slopes.shape[-2] < rows:
             M = self.E.shape[-1]
             if self.diagonal:
@@ -261,34 +246,9 @@ class _GibbsPoint:
 
     @property
     def jacobian(self) -> np.ndarray:
-        """Response matrix J_mn = d E_m / d beta_n, symmetrized."""
-        J = self.slopes(len(self.E))
-        return 0.5 * (J + J.T)
-
-    def response_inverse(self) -> np.ndarray:
-        """J^-1, refused when the smallest |eigenvalue| of J is at most
-        JACOBIAN_RCOND times the largest; closed forms for M <= 2."""
-        J = self.jacobian
-        entries = J.tolist()  # Python floats: the closed forms cost less than on numpy scalars
-        if len(J) == 1:
-            small = large = abs(entries[0][0])
-        elif len(J) == 2:
-            (a, b), (_, c) = entries
-            mean, radius = 0.5 * abs(a + c), hypot(0.5 * (a - c), b)
-            small, large = abs(mean - radius), mean + radius
-        else:
-            svals = np.linalg.svd(J, compute_uv=False)
-            small, large = svals[-1], svals[0]
-        if not small > JACOBIAN_RCOND * large:
-            raise DegenerateAnsatzError(
-                f"Gibbs response matrix is numerically singular (|eigenvalues| from {small:.3e} "
-                f"to {large:.3e}) at beta = {self.beta}"
-            )
-        if len(J) == 1:
-            return 1.0 / J
-        if len(J) == 2:
-            return np.array([[c, -b], [-b, a]]) / (a * c - b * b)
-        return np.linalg.inv(J)
+        """Response matrix J_mn = d E_m / d beta_n, symmetrized, at the point or at each point of a stack."""
+        J = self.slopes(self.E.shape[-1])
+        return 0.5 * (J + J.swapaxes(-1, -2))
 
     def state(self) -> np.ndarray:
         return hermitize((self.U * self.q) @ self.U.conj().T)
@@ -304,7 +264,33 @@ class _GibbsPoint:
 
     def derivative(self) -> np.ndarray:
         """Stack of d rho / d E_j, by the chain rule through beta(E)."""
-        return np.einsum("nab,nj->jab", self.param_derivative(), self.response_inverse())
+        return np.einsum("nab,nj->jab", self.param_derivative(), response_inverse(self.jacobian, self.beta))
+
+
+def response_inverse(J: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """J^-1 of one response matrix J (M, M), a point's jacobian at exponents beta, refused
+    when the smallest |eigenvalue| of J is at most JACOBIAN_RCOND times the largest;
+    closed forms for M <= 2."""
+    entries = J.tolist()  # Python floats: the closed forms cost less than on numpy scalars
+    if len(J) == 1:
+        small = large = abs(entries[0][0])
+    elif len(J) == 2:
+        (a, b), (_, c) = entries
+        mean, radius = 0.5 * abs(a + c), hypot(0.5 * (a - c), b)
+        small, large = abs(mean - radius), mean + radius
+    else:
+        svals = np.linalg.svd(J, compute_uv=False)
+        small, large = svals[-1], svals[0]
+    if not small > JACOBIAN_RCOND * large:
+        raise DegenerateAnsatzError(
+            f"Gibbs response matrix is numerically singular (|eigenvalues| from {small:.3e} "
+            f"to {large:.3e}) at beta = {beta}"
+        )
+    if len(J) == 1:
+        return 1.0 / J
+    if len(J) == 2:
+        return np.array([[c, -b], [-b, a]]) / (a * c - b * b)
+    return np.linalg.inv(J)
 
 
 def _gibbs_point(observables, beta) -> _GibbsPoint:

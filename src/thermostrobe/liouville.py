@@ -64,9 +64,10 @@ class GkslGenerator:
         for op, rate in self.jumps:
             op = require_finite(require_square(op, "jump operator"), "jump operator")
             require_same_shape(H, op, "hamiltonian and jump operator")
-            rate = float(rate)
-            if not np.isfinite(rate):
-                raise ValidationError(f"jump rate {rate} is not finite")
+            try:
+                rate = float(require_finite(rate, "jump rate"))
+            except ValidationError:  # NaN, inf, text or None
+                raise ValidationError(f"jump rate {rate} is not finite") from None
             if check_rates and rate < 0.0:
                 raise ValidationError(f"jump rate {rate} is negative")
             cleaned.append((op, rate))

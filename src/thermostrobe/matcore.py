@@ -37,9 +37,13 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
 
 
 def require_finite(x, name: str = "value", error: type = ValidationError) -> np.ndarray:
-    """x as an array, refused with error when any entry is NaN or infinite."""
+    """x as an array, refused with error when any entry is NaN, infinite or not a number."""
     x = np.asarray(x)
-    if not np.isfinite(x).all():
+    try:
+        finite = np.isfinite(x).all()
+    except TypeError:  # text or None, which np.isfinite does not take
+        finite = False
+    if not finite:
         raise error(f"non-finite entries in {name}")
     return x
 
@@ -54,10 +58,10 @@ def hermiticity_defect(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
-def require_hermitian(M, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(M, name: str = "matrix") -> np.ndarray:
     M = require_square(M, name)
     dev = hermiticity_defect(M)
-    if dev > tol * scale_of(M):
+    if dev > HERM_TOL * scale_of(M):
         raise ValidationError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return M
 
@@ -67,19 +71,19 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
 
 
-def exp_general(X, cap: int = EXP_DIM_CAP) -> np.ndarray:
+def exp_general(X) -> np.ndarray:
     """exp(X) for a general square matrix.
 
     Scaling-and-squaring around a truncated Taylor series: X is halved until
     its 1-norm drops below EXP_SCALE_TARGET, the series is summed to order
     EXP_SERIES_ORDER, and the result is squared back up.  Intended for
-    generator matrices of moderate dimension (n <= cap); a result that
+    generator matrices of moderate dimension (n <= EXP_DIM_CAP); a result that
     overflows raises CapacityError.
     """
     X = require_square(X, "exponent")
     n = X.shape[0]
-    if n > cap:
-        raise CapacityError(f"matrix dimension {n} exceeds the exponential cap {cap}")
+    if n > EXP_DIM_CAP:
+        raise CapacityError(f"matrix dimension {n} exceeds the exponential cap {EXP_DIM_CAP}")
     require_finite(X, "exponent")
     nrm = np.linalg.norm(X, 1)
     squarings = int(np.ceil(np.log2(nrm / EXP_SCALE_TARGET))) if nrm > EXP_SCALE_TARGET else 0

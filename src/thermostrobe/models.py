@@ -158,15 +158,14 @@ class MultilevelParams:
     shifts: tuple | None = None
 
     def __post_init__(self) -> None:
-        omegas = tuple(float(w) for w in self.omegas)
-        require_finite(omegas, "multilevel omegas")
+        omegas = tuple(float(w) for w in require_finite(self.omegas, "multilevel omegas"))
         require_finite(self.beta0, "multilevel beta0")
         if len(omegas) < 2:
             raise ValidationError("a multi-level probe needs at least two levels")
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise ValidationError(f"omegas must be strictly increasing, got {omegas}")
         d = len(omegas)
-        rates = require_finite(np.asarray(self.base_rates, dtype=float), "multilevel base_rates")
+        rates = require_finite(self.base_rates, "multilevel base_rates").astype(float)
         if rates.shape != (d, d):
             raise ValidationError(f"base_rates shape {rates.shape} does not match {d} levels")
         if np.any(rates < 0.0):
@@ -175,8 +174,7 @@ class MultilevelParams:
             raise ValidationError("base_rates must be strictly upper triangular (downward moves only)")
         shifts = self.shifts
         if shifts is not None:
-            shifts = tuple(float(s) for s in shifts)
-            require_finite(shifts, "multilevel shifts")
+            shifts = tuple(float(s) for s in require_finite(shifts, "multilevel shifts"))
             if len(shifts) != d:
                 raise ValidationError(f"shifts length {len(shifts)} does not match {d} levels")
         object.__setattr__(self, "omegas", omegas)

@@ -35,6 +35,7 @@ from .ansatz import (
     _GibbsPoint,
     _LinearAnsatz,
     _real_parts,
+    response_inverse,
 )
 from .errors import (
     CapacityError,
@@ -50,6 +51,7 @@ STEP_CAP_DEFAULT = 10_000_000
 GRID_TOL = 1e-9  # grid mismatch allowed, as a fraction of the step count (at least 1 step)
 FD_STEP = 1e-5
 CHECK_BATCH = 256  # points (rows or RK4 stage points) one batched feasibility check covers
+INVARIANCE_TOL = 1e-10  # closure residual below which the span is called invariant
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,12 @@ class StrobConfig:
     def __post_init__(self) -> None:
         for name in ("lam", "dt", "horizon", "ode_step"):
             value = getattr(self, name)
-            if value is not None and not isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if value is None and name == "ode_step":
+                continue
+            try:
+                require_finite(value, name)
+            except ValidationError:  # NaN, inf, text or None
+                raise ValidationError(f"{name} must be finite, got {value}") from None
         if not (self.dt > 0.0):
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.lam < 0.0:
@@ -333,7 +339,7 @@ class ContinuumLimit:
         M = self.family.size
         if self._gibbs:
             point = self._point(E)
-            W = point.slopes(2 * M)[M:] @ point.response_inverse() if gradient else None
+            W = point.slopes(2 * M)[M:] @ response_inverse(point.jacobian, point.beta) if gradient else None
             return point.means[M:], W
         if self._linear:
             self.family.feasible_block(E)
@@ -358,7 +364,7 @@ class ContinuumLimit:
         if self._gibbs:
             point = self._point(E)
             G = _central_difference(lambda beta: self.gibbs_point(beta).means[M:2 * M], point.beta)
-            return G @ point.response_inverse()
+            return G @ response_inverse(point.jacobian, point.beta)
         if self._linear:
             self.family.feasible_block(E)
             offset, slope = self._table
@@ -370,22 +376,10 @@ class ContinuumLimit:
         a, b, W = self.moments(E, gradient=order == 2)
         return _velocity(self.cfg, order, a, b, W @ a if order == 2 else None)
 
-    def beta_velocity(self, point: _GibbsPoint, order: int, cfg: StrobConfig | None = None) -> np.ndarray:
-        """dbeta/dt = J^-1 dE/dt at a gibbs_point, with one J^-1 shared by dbeta and W = G J^-1
-        (G is contracted first, so J is read from the same contraction), at the scales of cfg
-        (a walked row's own, by default the limit's).  This per-point numpy form is the
-        reference: a canonical walk forms the same bits in one kernel (_canonical_kernel)
-        and comes back here for any RHS with a row it cannot clear."""
-        M = len(point.E)
-        a = point.means[M:2 * M]
-        G = point.slopes(2 * M)[M:] if order == 2 else None
-        J_inv = point.response_inverse()
-        Wa = G @ J_inv @ a if order == 2 else None
-        return J_inv @ _velocity(cfg or self.cfg, order, a, point.means[2 * M:], Wa)
 
-
-def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Matrix whose column j is (f(x + h e_j) - f(x - h e_j)) / 2h."""
+def _central_difference(f, x: np.ndarray) -> np.ndarray:
+    """Matrix whose column j is (f(x + h e_j) - f(x - h e_j)) / 2h, h = FD_STEP."""
+    h = FD_STEP
     return np.array([(f(x + bump) - f(x - bump)) / (2.0 * h) for bump in h * np.eye(len(x))]).T
 
 
@@ -396,10 +390,23 @@ def _velocity(cfg: StrobConfig, order: int, a, b, Wa):
     return cfg.lam * a if order == 1 else cfg.lam * a + 0.5 * cfg.alpha * (b - Wa)
 
 
+def beta_velocity(cfg: StrobConfig, order: int, beta: np.ndarray, means: np.ndarray, J: np.ndarray,
+                  G: np.ndarray) -> np.ndarray:
+    """dbeta/dt = J^-1 dE/dt of one gibbs_point row at the scales of cfg, from its exponents beta
+    (M,), means of [P; A; B] (3M,), jacobian J (M, M) and, read at order 2, slopes G = d<A>/dbeta
+    (M, M), one J^-1 serving dbeta and W = G J^-1.  The numpy reference: a canonical walk forms
+    the same bits in one kernel (_canonical_kernel) and comes back here for a row it cannot clear."""
+    M = len(beta)
+    a = means[M:2 * M]
+    J_inv = response_inverse(J, beta)
+    Wa = G @ J_inv @ a if order == 2 else None
+    return J_inv @ _velocity(cfg, order, a, means[2 * M:], Wa)
+
+
 def _canonical_kernel(limit: ContinuumLimit, cfgs: list[StrobConfig], orders: list[int]):
     """The RHS of a canonical (M = 1) walk as one kernel: beta, lone (1,) or stacked (n, 1) with
     row i at orders[i] and the scales of cfgs[i], to dbeta/dt with the bits of beta_velocity on
-    the gibbs_point of beta, or None, handing the RHS back to that numpy path.
+    each row of the gibbs_point of beta, or None, handing the RHS back to that numpy path.
 
     The table [w; a; b] is read at the first call (_canonical_table), as the walk's first RHS
     reads the images.  Python floats form every single IEEE operation: k = beta w, its minimum
@@ -565,8 +572,8 @@ def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int],
     kernel, built once per set of live rows (_canonical_kernel): beta to dbeta/dt, in Python
     floats where one IEEE operation gives numpy's bits and in numpy where the bits need it,
     with no Gibbs point.  Otherwise, and for any RHS the kernel hands back, the RHS is one
-    gibbs_point of the live rows and the numpy velocity of each of its rows(), which raises or
-    warns as it does; for M >= 2 a float form would not sum as BLAS does.
+    gibbs_point of the live rows and one slopes contraction, read by beta_velocity on each row's
+    views, which raises or warns as it does; for M >= 2 a float form would not sum as BLAS does.
     One trajectory per row: the beta rows are the temps; the params, their E, come from one
     point of all the rows on one grid, and if that raises, each time row is read alone as the
     protocol step that made it (step 0 for the start), so the first failure names its step."""
@@ -582,12 +589,11 @@ def _gibbs_walk(limit: ContinuumLimit, beta0: np.ndarray, orders: list[int],
                 dbeta = kernel(beta)
                 if dbeta is not None:
                     return dbeta
-            point = limit.gibbs_point(beta)
-            point.slopes(width)  # every row's slopes in one contraction
-            if beta.ndim == 1:  # a lone trajectory: ~11 % less per M = 2 RHS than as a one-row stack
-                return limit.beta_velocity(point, row_orders[0], row_cfgs[0])
-            return np.array([limit.beta_velocity(row, order, cfg)
-                             for row, order, cfg in zip(point.rows(), row_orders, row_cfgs)])
+            point, M = limit.gibbs_point(beta), relevant.size  # a lone vector stays a lone point
+            slopes = point.slopes(width).reshape(-1, width, M)  # every row's slopes in one contraction
+            rows = zip(row_cfgs, row_orders, beta.reshape(-1, M), point.means.reshape(-1, 3 * M),
+                       point.jacobian.reshape(-1, M, M), slopes[:, M:])
+            return np.array([beta_velocity(*row) for row in rows]).reshape(beta.shape)
         return rhs
 
     trajs = [None] * len(orders)
@@ -694,13 +700,13 @@ class InvarianceResult:
     tolerance: float
 
 
-def invariant_subspace_matrix(gen: GkslGenerator, observables, tol: float = 1e-10) -> InvarianceResult:
+def invariant_subspace_matrix(gen: GkslGenerator, observables) -> InvarianceResult:
     """Fit L*(S_i) = sum_j L_ij S_j over the affine basis S = (I, P_1, ..., P_M).
 
     The returned matrix includes the identity row (exactly zero, since the
     adjoint of a trace-preserving generator kills I).  When the residual is
-    below tol the correction bracket of the second-order velocity vanishes
-    identically on the family.
+    at most INVARIANCE_TOL the correction bracket of the second-order velocity
+    vanishes identically on the family.
     """
     relevant = _as_relevant(observables)
     basis, G = relevant.affine_basis, relevant.gram
@@ -715,5 +721,5 @@ def invariant_subspace_matrix(gen: GkslGenerator, observables, tol: float = 1e-1
         fit = sum(ck * Bk for ck, Bk in zip(c, basis))
         residual_sq += float(np.sum(np.abs(target - fit) ** 2))
     residual = float(np.sqrt(residual_sq))
-    return InvarianceResult(L, residual, residual <= tol, tol)
+    return InvarianceResult(L, residual, residual <= INVARIANCE_TOL, INVARIANCE_TOL)
 

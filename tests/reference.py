@@ -5,7 +5,8 @@ Heisenberg picture, through one velocity formula.  This module keeps the
 Schrödinger-picture and printed-paper forms of the same maps, and the matrix
 helpers that only the tests read: the generator acting on states, propagated
 states, Choi matrices, the posterior reset, the linear families' projections,
-the state-space velocity and the temperature form of the beta velocity.
+the state-space velocity, the beta velocity of a lone Gibbs point and its
+temperature form.
 """
 
 import numpy as np
@@ -30,7 +31,7 @@ from thermostrobe.matcore import (
     require_square,
     scale_of,
 )
-from thermostrobe.strob import ContinuumLimit, StrobConfig, _require_canonical
+from thermostrobe.strob import ContinuumLimit, StrobConfig, _require_canonical, beta_velocity
 
 # ---------------------------------------------------------------------------
 # Matrix helpers
@@ -175,6 +176,14 @@ def projector_ode_rhs(gen: GkslGenerator, family: AnsatzFamily, rho, cfg: StrobC
     return cfg.lam * first + 0.5 * cfg.alpha * (second - nested)
 
 
+def point_velocity(point, order: int, cfg: StrobConfig) -> np.ndarray:
+    """strob.beta_velocity on a lone gibbs_point at the scales of cfg: its slopes are
+    contracted to the rows order reads first, so J is read from the same contraction."""
+    M = len(point.E)
+    G = point.slopes(order * M)[M:]
+    return beta_velocity(cfg, order, point.beta, point.means, point.jacobian, G)
+
+
 def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cfg: StrobConfig) -> float:
     """Temperature form of the second-order velocity, dbeta/dt = -(beta^2 / C) dE/dt.
 
@@ -191,4 +200,4 @@ def ode_rhs_temperature(gen: GkslGenerator, family: GibbsAnsatz, beta: float, cf
     C = -(beta**2) * point.jacobian[0, 0]
     if C < 1e-15 * (1.0 + beta * beta):
         raise SingularityError(f"heat capacity {C:.3e} at beta = {beta:.6g} is too small to invert")
-    return float(limit.beta_velocity(point, 2)[0])
+    return float(point_velocity(point, 2, cfg)[0])

@@ -74,6 +74,13 @@ def test_generator_rejects_nan_rate():
             GkslGenerator(hamiltonian=H, jumps=((SIGMA_MINUS, float("nan")),), check_rates=check_rates)
 
 
+@pytest.mark.parametrize("rate", ["x", None], ids=["text", "none"])
+def test_generator_refuses_a_rate_that_is_not_a_number(rate):
+    H = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValidationError, match=f"^jump rate {rate} is not finite$"):
+        GkslGenerator(hamiltonian=H, jumps=((SIGMA_MINUS, rate),))
+
+
 def test_propagator_refuses_overflowing_exponential():
     gen = GkslGenerator(np.zeros((2, 2), dtype=complex), ((SIGMA_MINUS, -1e3),), check_rates=False)
     with pytest.raises(CapacityError, match="overflows"):

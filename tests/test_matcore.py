@@ -105,9 +105,6 @@ def test_exp_general_identity_and_nilpotent():
 def test_exp_general_dimension_cap():
     with pytest.raises(CapacityError):
         exp_general(np.zeros((257, 257)))
-    # a custom cap is honored
-    with pytest.raises(CapacityError):
-        exp_general(np.zeros((5, 5)), cap=4)
 
 
 def test_exp_general_rejects_non_finite():

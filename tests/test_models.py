@@ -50,8 +50,9 @@ def test_qubit_params_validation():
         QubitParams(dt=0.0)
 
 
-@pytest.mark.parametrize("kwargs", [{"omega0": np.inf}, {"beta0": np.nan}, {"Omega": np.inf}],
-                         ids=["omega0-inf", "beta0-nan", "Omega-inf"])
+@pytest.mark.parametrize("kwargs", [{"omega0": np.inf}, {"beta0": np.nan}, {"Omega": np.inf},
+                                    {"beta0": "x"}, {"omega0": None}],
+                         ids=["omega0-inf", "beta0-nan", "Omega-inf", "beta0-text", "omega0-none"])
 def test_qubit_params_reject_non_finite(kwargs):
     with pytest.raises(ValidationError, match="non-finite"):
         QubitParams(**kwargs)
@@ -188,6 +189,14 @@ def test_multilevel_params_validation():
     ("beta0", -np.inf),
     ("shifts", (0.0, np.nan, 0.0)),
     ("shifts", (np.inf, 0.0, 0.0)),
+    ("omegas", (0.0, "a", 2.0)),
+    ("omegas", (0.0, None, 2.0)),
+    ("base_rates", [[0.0, "x", 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    ("base_rates", [[0.0, None, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    ("beta0", "x"),
+    ("beta0", None),
+    ("shifts", (0.0, "x", 0.0)),
+    ("shifts", (None, 0.0, 0.0)),
 ])
 def test_multilevel_params_refuse_non_finite_values(field, value):
     # a NaN base rate would drop its jump from the generator and make the analytic moments NaN

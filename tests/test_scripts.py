@@ -6,7 +6,8 @@ is run.  The README's python blocks are executed, and its scenario-format
 block is run through the CLI.  The summary of scripts/bench_pairs.py is
 checked on fixed numbers.  The outputs of scripts/reference_outputs.py
 are held to the hashes in tests/golden/reference_outputs.sha256, and
-scripts/workload_outputs.py must print the same lines for two runs.
+scripts/workload_outputs.py must print the same lines for two runs, the
+lines pinned in tests/golden/workload_outputs.sha256.
 """
 
 import importlib.util
@@ -62,6 +63,7 @@ def test_workload_outputs_print_the_same_hashes_twice(tmp_path, capsys, monkeypa
     finally:
         sys.modules.pop("workloads", None)
     assert printed[0] == printed[1]
+    assert printed[0] == (REPO / "tests" / "golden" / "workload_outputs.sha256").read_text(encoding="utf-8")
     paths = [line.split("  ")[1].split("/") for line in printed[0].splitlines()]
     assert {seed for _, seed, _ in paths} == {"7"}
     assert {name for name, _, _ in paths} == {

@@ -36,7 +36,7 @@ from thermostrobe import (
     hermitize,
 )
 from thermostrobe.matcore import DEGENERATE_EIG_TOL, exp_neg_kernel
-from reference import SIGMA_X, SIGMA_Z, derivative_from_beta, ode_rhs_temperature
+from reference import SIGMA_X, SIGMA_Z, derivative_from_beta, ode_rhs_temperature, point_velocity
 from tutil import random_generator, random_hermitian
 
 TOL = 1e-12
@@ -122,7 +122,7 @@ def check_point(rng, rs, beta):
     # natural coordinates: the beta-route velocity is J^-1 times the E-route one at E(beta)
     J_inv = np.linalg.inv(J)
     for order in (1, 2):
-        assert_close(limit.beta_velocity(limit.gibbs_point(beta), order),
+        assert_close(point_velocity(limit.gibbs_point(beta), order, limit.cfg),
                      J_inv @ limit.velocity(E, order), scale * np.linalg.norm(J_inv, 2))
     if rs.size == 1:
         _, ode2, scale = dense_rhs(gen, obs, rho, derivs)
@@ -229,7 +229,7 @@ def test_gibbs_point_error_messages(obs, beta, error, message):
     gen = random_generator(np.random.default_rng(3), 2)
     limit = ContinuumLimit(gen, GibbsAnsatz(obs), CFG)
     with pytest.raises(error) as info:
-        limit.beta_velocity(limit.gibbs_point(np.array(beta)), 2)
+        point_velocity(limit.gibbs_point(np.array(beta)), 2, limit.cfg)
     assert str(info.value) == message
 
 
@@ -251,7 +251,7 @@ def test_one_eigensolve_per_beta_route_rhs(monkeypatch, rng, obs, eigh_calls):
     for order in (1, 2):
         for beta in ([0.3, -0.2], [0.0, 0.0]):
             calls.clear()
-            limit.beta_velocity(limit.gibbs_point(np.array(beta)), order)
+            point_velocity(limit.gibbs_point(np.array(beta)), order, limit.cfg)
             assert len(calls) == eigh_calls
 
 

@@ -55,17 +55,20 @@ CFG = StrobConfig(lam=1.3, dt=0.1, horizon=0.3)
 
 
 def family_limit(kind: str, cfg: StrobConfig = CFG) -> ContinuumLimit:
-    """The qubit and multilevel energy tables, and the dense spin-1 (S_z, S_x) family."""
+    """The qubit and multilevel energy tables, the dense spin-1 (S_z, S_x) family, the spin-1
+    table (S_z, S_z^2) of two commuting observables and the dense spin-1 (S_z, S_x, S_z^2)."""
     if kind == "qubit":
         gen, family = qubit_generator(DRIVEN), GibbsAnsatz.canonical(qubit_energy_observable(DRIVEN))
         return ContinuumLimit(gen, family, cfg)
     if kind == "multilevel":
         gen, family = multilevel_generator(ML), GibbsAnsatz.canonical(multilevel_energy_observable(ML))
         return ContinuumLimit(gen, family, cfg)
-    return ContinuumLimit(random_generator(np.random.default_rng(7), 3), GibbsAnsatz((SZ1, SX1)), cfg)
+    observables = {"spin-1": (SZ1, SX1), "spin-1-table": (SZ1, SZ1 @ SZ1),
+                   "spin-1-three": (SZ1, SX1, SZ1 @ SZ1)}[kind]
+    return ContinuumLimit(random_generator(np.random.default_rng(7), 3), GibbsAnsatz(observables), cfg)
 
 
-FAMILIES = ("qubit", "multilevel", "spin-1")
+FAMILIES = ("qubit", "multilevel", "spin-1", "spin-1-table", "spin-1-three")
 # the stacks a walk evaluates: n trajectories at an RK4 stage, and T rows of them at the end
 SHAPES = ((2,), (3,), (4, 2), (4, 3), (4,))
 
@@ -86,6 +89,7 @@ def test_each_row_of_a_stacked_point_is_its_lone_point(kind, lead):
             for name in ("k", "q", "Z", "means", "E") + (() if point.diagonal else ("U", "X")):
                 assert np.array_equal(getattr(point, name)[index], getattr(alone, name)), (name, index)
             assert np.array_equal(point.slopes(width)[index], alone.slopes(width))
+            assert np.array_equal(point.jacobian[index], alone.jacobian), index
             narrow = _GibbsPoint(relevant, betas[index], stack).slopes(M)  # only the P rows contracted
             assert np.array_equal(point.slopes(width)[index][:M], narrow)
             assert np.array_equal(kernels[index], exp_neg_kernel(alone.k))
@@ -94,7 +98,7 @@ def test_each_row_of_a_stacked_point_is_its_lone_point(kind, lead):
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_stacked_walk_rows_equal_lone_walks(kind):
     limit = family_limit(kind)
-    rng = np.random.default_rng({"qubit": 1, "multilevel": 2, "spin-1": 3}[kind])
+    rng = np.random.default_rng(FAMILIES.index(kind) + 1)
     for _ in range(3):
         n = int(rng.integers(2, 4))
         orders = [int(o) for o in rng.integers(1, 3, size=n)]

@@ -126,7 +126,12 @@ def test_affine_walk_with_huge_substep_count_is_refused_or_empty():
     {"horizon": float("inf")},
     {"dt": float("inf")},
     {"horizon": float("nan")},
-], ids=["lam-nan", "horizon-inf", "dt-inf", "horizon-nan"])
+    {"dt": "0.1"},
+    {"lam": None},
+    {"horizon": "x"},
+    {"lam": "x"},
+], ids=["lam-nan", "horizon-inf", "dt-inf", "horizon-nan", "dt-text", "lam-none", "horizon-text",
+        "lam-text"])
 def test_config_rejects_non_finite(kwargs):
     with pytest.raises(ValidationError, match="finite"):
         StrobConfig(**{"dt": 0.1, "horizon": 1.0, **kwargs})
